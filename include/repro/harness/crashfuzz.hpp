@@ -456,7 +456,7 @@ inline void fuzz_one(const AlgoEntry& algo, const CrashPlan& plan,
     if (crashed) {
       ++report.crashes;
       // Crash-during-reclaim invariant, checked against the *pre-rewind*
-      // tracking state (dirty flags are consumed by shadow::crash):
+      // tracking state (shadow::crash makes every word clean):
       // every parked cell — retired into any scheme's limbo/batch under
       // the iteration's ReclaimPause — must be durably equal to its
       // volatile contents.  persist-before-retire (flush+fence in
@@ -652,9 +652,11 @@ inline void fuzz_one(const AlgoEntry& algo, const CrashPlan& plan,
       // up to chain_depth times, re-recovering after each and holding
       // recovery to idempotence.  The machine stays crashed between
       // links (each shadow::crash keeps the accumulated undo log); the
-      // single uncrash() below restores the whole pre-crash state.
+      // single uncrash() below restores the whole pre-crash state,
+      // the seal's rewound words included — so the seal lives in this
+      // scope, not the chain block's.
+      fuzz_detail::RecoverySeal seal;
       if (plan.scenario == ScenarioKind::repeated_crash) {
-        fuzz_detail::RecoverySeal seal;
         ds::Recovered prev = rec;
         const int depth_cap = std::clamp(plan.chain_depth, 1, 3);
         for (int depth = 0; depth < depth_cap; ++depth) {

@@ -9,7 +9,7 @@
 // reclaimed once the global epoch reaches `t + 2` — by then every guard
 // that could have observed the node while it was linked has exited.
 // Reclaimed cells go back to the retiring thread's NodePool shard
-// (pool.hpp), so "freed" nodes are recycled hot instead of leaked.
+// (pool.hpp), so "freed" nodes are recycled instead of leaked.
 //
 // Grace-period advancement is amortised: every kAdvanceEvery retires a
 // thread scans the announcement array (O(kMaxThreads), ~2 loads per
@@ -26,7 +26,7 @@
 //
 // Announcement cost (the DEBRA-style amortisation): publishing an
 // announcement needs a store->load barrier (a seq_cst store), and on
-// x86 locked operations also order pending clflush write-backs — paying
+// x86 locked operations also order pending clwb write-backs — paying
 // that every operation puts DRAM write-back latency on the critical
 // path of every single op in the shared-cache model (~20% of
 // throughput, measured).  Guards therefore stay *pinned between

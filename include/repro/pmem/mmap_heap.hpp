@@ -199,14 +199,17 @@ class MmapHeap {
 
     // A recovered process never saw the killed writer's per-slab
     // SlabDirectory registrations; vouch for the arena's used extent
-    // wholesale so durable walks accept mapped node pointers.
+    // wholesale so durable walks accept mapped node pointers.  The
+    // extent mixes every pool's slabs, so it registers on the finest
+    // cell grid.
     const std::uint64_t used = std::atomic_ref<std::uint64_t>(
                                    heap->header()->bump)
                                    .load(std::memory_order_relaxed);
     if (existing && used > heap->header()->arena_off) {
       mem::SlabDirectory::instance().add(
           reinterpret_cast<void*>(base + heap->header()->arena_off),
-          static_cast<std::size_t>(used - heap->header()->arena_off));
+          static_cast<std::size_t>(used - heap->header()->arena_off),
+          mem::kMinCellBytes);
     }
     mem::set_slab_source(&MmapHeap::carve_slab);
     set_msync_hook(&MmapHeap::msync_active);

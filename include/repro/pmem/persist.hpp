@@ -29,8 +29,8 @@
 // persist<T> cells are additionally tracked in a per-line write-log so
 // a simulated crash (pmem/crash.hpp) can discard everything a fence
 // has not committed.  Instructions execute as in count_only (no real
-// clflush), so the shadow-vs-count_only delta in the benches isolates
-// the tracking overhead.
+// write-back), so the shadow-vs-count_only delta in the benches
+// isolates the tracking overhead.
 // mmap mode (pmem/mmap_heap.hpp) is the file-backed backend: structures
 // live in a MAP_SHARED heap file and pwb maps to clwb (clflush on CPUs
 // without it) with pfence/psync as sfence, so the durable image a
@@ -153,9 +153,10 @@ inline thread_local FlushBuffer tl_flushbuf{};
 
 #if defined(__x86_64__) || defined(_M_X64)
 // clwb keeps the line resident while starting its write-back — the
-// right pwb mapping for a live mapped heap, where clflush would evict
-// the line a structure is about to CAS again.  Availability is a CPUID
-// bit (leaf 7, EBX bit 24); CPUs without it fall back to clflush.
+// right pwb mapping wherever pwb executes, since clflush would evict
+// the line a structure is about to CAS again (and every pool cell
+// sharing it).  Availability is a CPUID bit (leaf 7, EBX bit 24);
+// CPUs without it fall back to clflush.
 inline bool cpu_has_clwb() {
   static const bool has = [] {
     unsigned a = 0, b = 0, c = 0, d = 0;
@@ -188,14 +189,7 @@ inline std::atomic<void (*)()>& msync_hook_cell() {
 
 inline void exec_flush(std::uintptr_t line) {
   const Mode m = mode();
-  if (m == Mode::shared_cache) {
-#if defined(__x86_64__) || defined(_M_X64)
-    _mm_clflush(reinterpret_cast<const void*>(line));
-#else
-    (void)line;
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-#endif
-  } else if (m == Mode::mmap) {
+  if (m == Mode::shared_cache || m == Mode::mmap) {
 #if defined(__x86_64__) || defined(_M_X64)
     clwb_line(line);
 #else
@@ -216,10 +210,10 @@ inline void drain_flush_buffer() {
 inline Counters counters() { return detail::tl_counters; }
 inline void reset_counters() { detail::tl_counters = Counters{}; }
 
-// pwb: write back the cache line holding addr.  clflush is used rather
-// than clwb/clflushopt so the binary runs on any x86-64; the cost model
-// is pessimistic by a constant factor, which affects absolute
-// throughput but not the algorithm ranking the paper reports.  With
+// pwb: write back the cache line holding addr.  Both executing modes
+// (shared_cache and mmap) issue clwb, which writes the line back and
+// leaves it resident, so a pwb never evicts the other pool cells that
+// share its line; CPUs without clwb fall back to clflush.  With
 // coalescing on, the write-back is deferred to the next fence and
 // same-line duplicates in the window are elided.
 inline void flush(const void* addr) {

@@ -9,11 +9,21 @@
 // at commit points.  The persistence instructions map onto the model
 // as:
 //
-//   store/cas  — volatile only; the word's line becomes dirty
+//   store/cas  — volatile only; the word becomes tracked
 //   pwb        — marks the line flushable (pending) in program order
-//   pfence     — commits every pending line: durable := volatile
+//   pfence     — commits every pending line: durable := volatile for
+//                every tracked word of the line
 //   psync      — same commit, plus the drain guarantee
 //   crash      — discards everything not durable (see fidelity below)
+//
+// A word is dirty exactly when its volatile value differs from its
+// durable one; no flag records it.  A flag set by the store hook and
+// cleared by a commit would race: persist<T>::cas logs before its
+// atomic lands, so another thread committing the line in between
+// would clear the flag for a value not yet written, and the owner's
+// own pwb + pfence would then commit nothing.  Comparing values also
+// matches the hardware, where a write-back persists whatever the line
+// holds at that moment, whoever wrote it.
 //
 // A simulated crash physically rewrites every dirty tracked word back
 // to its durable value, so post-crash verification — recover() against
@@ -44,18 +54,22 @@
 // and dedups the *execution* of write-backs, but the pwb instruction
 // itself is issued at flush() time — so the shadow pending mark is
 // taken there, duplicates included (marking an already-pending line is
-// a no-op), and a window overflow that executes a clflush early still
-// leaves the line pending until the next fence.  The deferred window
-// therefore spills into the shadow log with exactly the semantics the
-// coalescing contract promises: nothing is durable before the fence.
+// a no-op), and a window overflow that executes a write-back early
+// still leaves the line pending until the next fence.  The deferred
+// window therefore spills into the shadow log with exactly the
+// semantics the coalescing contract promises: nothing is durable
+// before the fence.
 //
 // Granularity is one 64-byte line (what pwb flushes), tracked as up to
 // eight 8-byte words; every pmem::persist<T> cell in the tree is an
-// 8-byte-aligned word inside a line-aligned host object (descriptors,
-// list/queue links, pool cells).  Tracking starts when shadow mode is
-// enabled: words never stored after that point keep their values
-// across a crash, which models state persisted before the crash plan
-// started (construction, prefill).
+// 8-byte-aligned word (descriptors, list/queue links in pool cells).
+// A line may hold several dense pool cells, and committing it commits
+// all of them, as the hardware would; the pool stripes fresh cells
+// across lines (mem/pool.hpp) so one node's pwb rarely covers another
+// live node.  Tracking starts when shadow mode is enabled: words never
+// stored after that point keep their values across a crash, which
+// models state persisted before the crash plan started (construction,
+// prefill).
 //
 // Thread-safety: the line table is sharded and mutex-protected so
 // multi-threaded shadow runs (the shadow-overhead benches) are
@@ -97,7 +111,12 @@ struct Word {
   LoadFn load = nullptr;
   StoreFn store = nullptr;
   std::uint64_t durable = 0;  // value at the last commit (or first sight)
-  bool dirty = false;         // volatile differs from durable
+
+  bool tracked() const { return cell != nullptr; }
+  bool dirty() const { return tracked() && load(cell) != durable; }
+  void commit() {
+    if (tracked()) durable = load(cell);
+  }
 };
 
 struct LineRec {
@@ -143,12 +162,7 @@ inline void commit_line(Engine& e, std::uintptr_t line) {
   auto it = sh.lines.find(line);
   if (it == sh.lines.end()) return;
   it->second.pending = false;
-  for (Word& w : it->second.words) {
-    if (w.cell != nullptr && w.dirty) {
-      w.durable = w.load(w.cell);
-      w.dirty = false;
-    }
-  }
+  for (Word& w : it->second.words) w.commit();
 }
 
 }  // namespace detail
@@ -165,7 +179,7 @@ inline std::size_t tracked_words() {
   for (detail::Shard& sh : e.shards) {
     std::lock_guard<std::mutex> lock(sh.mu);
     for (const auto& [line, rec] : sh.lines) {
-      for (const detail::Word& w : rec.words) n += w.cell != nullptr;
+      for (const detail::Word& w : rec.words) n += w.tracked();
     }
   }
   return n;
@@ -190,7 +204,9 @@ inline void set_enabled(bool on) {
 
 // persist<T>::store/cas routes here *before* mutating the cell:
 // `prior` is the cell's current value, which becomes the word's
-// durable baseline the first time shadow mode sees it.
+// durable baseline the first time shadow mode sees it.  Later calls
+// for the same word are no-ops: whether it is dirty is read off its
+// value.
 inline void on_store(void* cell, std::uint64_t prior, LoadFn load,
                      StoreFn store) {
   detail::Engine& e = detail::Engine::instance();
@@ -200,13 +216,12 @@ inline void on_store(void* cell, std::uint64_t prior, LoadFn load,
   std::lock_guard<std::mutex> lock(sh.mu);
   detail::LineRec& rec = sh.lines[line];
   detail::Word& w = rec.words[(addr >> 3) & 7];
-  if (w.cell == nullptr) {
+  if (!w.tracked()) {
     w.cell = cell;
     w.load = load;
     w.store = store;
     w.durable = prior;
   }
-  w.dirty = true;
 }
 
 // pwb issued for `addr`'s line (called from pmem::flush while enabled,
@@ -248,12 +263,11 @@ inline void on_fence() {
 //
 // `keep_undo` supports the chained-crash scenario (crash, recover on
 // the durable image, crash again mid-recovery): the machine stays
-// crashed between links — uncrash() bypasses dirty-flag bookkeeping,
-// so rewinding a restored machine a second time would be a no-op for
-// the words it revived — and each link appends its rewinds to the
-// previous link's undo log instead of replacing it.  One final
-// uncrash() replays the whole log in push order, so the latest saved
-// volatile value of a word rewound by several links wins.
+// crashed between links, so each recovery pass runs on the durable
+// image, and each link appends its rewinds to the previous link's undo
+// log instead of replacing it.  One final uncrash() replays the whole
+// log in push order, so the latest saved volatile value of a word
+// rewound by several links wins.
 template <typename Coin>
 CrashStats crash(CrashFidelity fidelity, Coin&& coin,
                  bool keep_undo = false) {
@@ -269,23 +283,17 @@ CrashStats crash(CrashFidelity fidelity, Coin&& coin,
         rec.pending = false;
         if (keep) {
           ++stats.lines_committed;
-          for (detail::Word& w : rec.words) {
-            if (w.cell != nullptr && w.dirty) {
-              w.durable = w.load(w.cell);
-              w.dirty = false;
-            }
-          }
+          for (detail::Word& w : rec.words) w.commit();
           continue;
         }
         ++stats.lines_dropped;
       }
       for (detail::Word& w : rec.words) {
-        if (w.cell == nullptr || !w.dirty) continue;
+        if (!w.dirty()) continue;
         detail::Word u = w;
         u.durable = w.load(w.cell);  // repurposed: pre-crash volatile
         e.undo.push_back(u);
         w.store(w.cell, w.durable);
-        w.dirty = false;
         ++stats.words_restored;
       }
     }
@@ -309,9 +317,10 @@ inline void uncrash() {
   e.undo.clear();
 }
 
-// True if any tracked word in [p, p+bytes) is dirty — stored since the
-// last commit of its line.  A pwb'd-but-unfenced word still counts: at
-// a crash the adversarial coin may drop its line, so it is not durable.
+// True if any tracked word in [p, p+bytes) is dirty — its value differs
+// from the one the last commit of its line made durable.  A
+// pwb'd-but-unfenced word still counts: at a crash the adversarial coin
+// may drop its line, so it is not durable.
 // The crash-during-reclaim scenario checks this over every parked
 // (retired, unreclaimed) cell: persist-before-retire promises a parked
 // cell's lines were fenced before the cell entered any limbo/batch
@@ -326,7 +335,7 @@ inline bool range_dirty(const void* p, std::size_t bytes) {
     auto it = sh.lines.find(line);
     if (it == sh.lines.end()) continue;
     for (const detail::Word& w : it->second.words) {
-      if (w.cell != nullptr && w.dirty) {
+      if (w.dirty()) {
         const auto wa = reinterpret_cast<std::uintptr_t>(w.cell);
         if (wa >= base && wa < base + bytes) return true;
       }
@@ -344,7 +353,7 @@ inline bool durable_value(const void* cell, std::uint64_t& out) {
   auto it = sh.lines.find(addr & detail::kLineMask);
   if (it == sh.lines.end()) return false;
   const detail::Word& w = it->second.words[(addr >> 3) & 7];
-  if (w.cell == nullptr) return false;
+  if (!w.tracked()) return false;
   out = w.durable;
   return true;
 }

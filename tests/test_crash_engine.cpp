@@ -9,6 +9,7 @@
 // survive 50000.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -170,6 +171,31 @@ TEST_F(ShadowNvm, CasRoutesThroughTheWriteLog) {
   pmem::fence();
   shadow::crash_strict();
   EXPECT_EQ(w.load(), 8u);
+}
+
+// persist<T>::cas logs a word before its atomic lands.  If another
+// thread's pwb + pfence commits the line inside that window, the
+// owner's own pwb + pfence after the CAS must still make the CAS's
+// value durable.  Replayed single-threaded through the raw hooks.
+TEST_F(ShadowNvm, CommitAfterARacingCommitPersistsTheLandedValue) {
+  static std::atomic<std::uint64_t> cell{1};  // X
+  cell.store(1);
+  const shadow::LoadFn load = [](void* c) {
+    return static_cast<std::atomic<std::uint64_t>*>(c)->load();
+  };
+  const shadow::StoreFn store = [](void* c, std::uint64_t v) {
+    static_cast<std::atomic<std::uint64_t>*>(c)->store(v);
+  };
+  shadow::on_store(&cell, cell.load(), load, store);  // cas logs ...
+  pmem::flush(&cell);  // ... another thread commits the line ...
+  pmem::fence();
+  cell.store(2);       // ... then the CAS lands (Y)
+  pmem::flush(&cell);  // the owner persists it
+  pmem::fence();
+  shadow::on_store(&cell, cell.load(), load, store);
+  cell.store(3);       // a later, unpersisted store (Z)
+  shadow::crash_strict();
+  EXPECT_EQ(cell.load(), 2u);
 }
 
 TEST_F(ShadowNvm, CrashFiresAtTheArmedInstructionBoundary) {

@@ -1,20 +1,24 @@
-// The memory subsystem: pool slab alignment and reuse accounting, EBR
-// grace-period correctness under both a deterministic pin and a
-// concurrent retire/reuse stress (canary values catch premature
-// reclamation; TSan/ASan catch it as a race/use-after-free), the
-// bounded-RSS property an update-only churn must keep, pwb coalescing
-// windows, and recover() safety on descriptors whose nodes were
-// pool-recycled.
+// The memory subsystem: pool cell sizes, fresh-cell striping, the
+// recycle order, slab alignment and reuse accounting, EBR grace-period
+// correctness under both a deterministic pin and a concurrent
+// retire/reuse stress (canary values catch premature reclamation;
+// TSan/ASan catch it as a race/use-after-free), the bounded-RSS
+// property an update-only churn must keep, pwb coalescing windows, and
+// recover() safety on descriptors whose nodes were pool-recycled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "repro/ds/detectable.hpp"
+#include "repro/ds/harris_core.hpp"
+#include "repro/ds/msqueue_core.hpp"
 #include "repro/ds/isb_list.hpp"
 #include "repro/harness/runner.hpp"
 #include "repro/harness/workload.hpp"
@@ -468,6 +472,85 @@ TEST(Pool, SlabDirectoryCoalescesAdjacentExtents) {
 
   dir.add(arena, 320);  // fully covered: a no-op
   EXPECT_EQ(dir.range_count(), n0);
+
+  // A 16-byte-cell range touching the 64-aligned extent stays separate
+  // and checks its own, finer grid.
+  dir.add(arena + 320, 128, 16);
+  EXPECT_EQ(dir.range_count(), n0 + 1);
+  EXPECT_TRUE(dir.owns(arena + 320));
+  EXPECT_TRUE(dir.owns(arena + 320 + 16));
+  EXPECT_FALSE(dir.owns(arena + 320 + 8));
+  EXPECT_FALSE(dir.owns(arena + 16));  // the 64-grid rejects it
+  EXPECT_FALSE(dir.owns(arena + 448));
+}
+
+// Nodes of up to one line get dense power-of-two cells.
+static_assert(NodePool<repro::ds::ListNode>::cell_bytes() == 16);
+static_assert(NodePool<repro::ds::QueueNode>::cell_bytes() == 16);
+static_assert(NodePool<WideNode>::cell_bytes() == 64);
+
+// Fresh cells are striped across the slab's lines: one shard's first
+// slab_payload_bytes()/64 allocations from a new slab all land on
+// distinct lines, so no fresh node's pwb commits another's stores.
+struct StripeNode {
+  explicit StripeNode(int v) : a(static_cast<std::uint64_t>(v)) {}
+  std::uint64_t a, b = 0;
+};
+
+TEST(Pool, FreshCellsAreStripedAcrossLines) {
+  using Pool = NodePool<StripeNode>;
+  auto& pool = Pool::instance();
+  static_assert(Pool::cell_bytes() == 16);
+  constexpr std::size_t kLines = Pool::slab_payload_bytes() / kCacheLine;
+  const std::size_t slabs0 = pool.slab_count();
+
+  std::vector<StripeNode*> nodes;
+  std::set<std::uintptr_t> lines;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    nodes.push_back(pool.create(static_cast<int>(i)));
+    const auto a = reinterpret_cast<std::uintptr_t>(nodes.back());
+    EXPECT_EQ(a % Pool::cell_bytes(), 0u);
+    EXPECT_TRUE(repro::mem::SlabDirectory::instance().owns(nodes.back()));
+    lines.insert(a / kCacheLine);
+  }
+  EXPECT_EQ(pool.slab_count(), slabs0 + 1);
+  EXPECT_EQ(lines.size(), kLines);
+
+  // The next pass fills each line's second slot, starting at line one.
+  nodes.push_back(pool.create(0));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(nodes.back()),
+            reinterpret_cast<std::uintptr_t>(nodes.front()) +
+                Pool::cell_bytes());
+  EXPECT_EQ(pool.slab_count(), slabs0 + 1);
+  for (StripeNode* n : nodes) pool.destroy(n);
+}
+
+// Recycled cells come back in a fixed order, not in the order they
+// were freed: the next run is every cell freed since the last one,
+// sorted into the stripe order fresh cells are handed out in.
+struct RecycleNode {
+  explicit RecycleNode(int v) : a(static_cast<std::uint64_t>(v)) {}
+  std::uint64_t a, b = 0;
+};
+
+TEST(Pool, RecycledCellsComeBackInStripeOrder) {
+  auto& pool = NodePool<RecycleNode>::instance();
+  constexpr int kN = 64;
+  std::vector<RecycleNode*> fresh;
+  for (int i = 0; i < kN; ++i) fresh.push_back(pool.create(i));
+
+  std::vector<RecycleNode*> scrambled = fresh;
+  std::mt19937 rng(7);
+  std::shuffle(scrambled.begin(), scrambled.end(), rng);
+  for (RecycleNode* n : scrambled) pool.destroy(n);
+
+  const Stats s0 = repro::mem::stats();
+  std::vector<RecycleNode*> again;
+  for (int i = 0; i < kN; ++i) again.push_back(pool.create(i));
+  EXPECT_EQ(repro::mem::stats().reuses - s0.reuses,
+            static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(again, fresh);
+  for (RecycleNode* n : again) pool.destroy(n);
 }
 
 // A node type whose cell size does not divide the 64 KiB slab; the
