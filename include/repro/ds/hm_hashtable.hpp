@@ -120,9 +120,8 @@ class HmHashMapCore {
   // per-bucket defensive walks in bucket order.  Bucket order is
   // deterministic (the same image always walks the same way — the
   // chain fuzzer's idempotence re-walk relies on that) but not sorted;
-  // every consumer of durable contents (crashfuzz set_equals, the
-  // durable-linearizability checker, killfuzz verify_list) compares
-  // order-insensitively.  The step budget is shared across buckets so
+  // every consumer of durable contents (the contents oracle, the
+  // durable-linearizability checker) compares order-insensitively.  The step budget is shared across buckets so
   // a cycle through any bucket's chain still terminates the walk.
   bool durable_keys(std::vector<std::int64_t>& out,
                     std::size_t max_steps = std::size_t{1} << 22) const {

@@ -1,57 +1,55 @@
-// Crash-point fuzzers: the dynamic half of the crash-simulation
-// engine.  Two drivers share the shadow-NVM machinery:
+// Crash-point fuzzing: the dynamic half of the crash-simulation engine.
+// One driver, two entry points:
 //
-//   fuzz_one / fuzz_structure — the deterministic single-threaded
-//     driver (below), verifying the descriptor-level detectability
-//     contract D1-D4 against an exact op-by-op model.
-//   concurrent_fuzz_one / concurrent_fuzz_structure — the
-//     multi-threaded driver (end of this header): N racing workers
-//     recorded into a history (harness/history.hpp), a crash armed at
-//     a persistence-instruction boundary that lands on whichever
-//     thread issues it, and the durable image verified by the
+//   fuzz_one / fuzz_structure — one lane on the calling thread, every
+//     draw from the iteration's PRNG, verified exactly against the
+//     detectability contract DC1–DC4 (harness/oracle.hpp).
+//   concurrent_fuzz_one / concurrent_fuzz_structure — N racing worker
+//     lanes; the crash lands on whichever thread issues the armed
+//     instruction, and the per-lane oracle's must/may verdicts feed the
 //     durable-linearizability checker (harness/linearize.hpp).
 //
-// One single-threaded fuzz iteration builds a fresh structure,
-// prefills it, switches the pmem layer into shadow-NVM mode, arms a
-// crash at a PRNG-chosen persistence-instruction boundary
-// (pmem/crash.hpp), and drives a deterministic single-threaded
-// workload until the crash fires.  The
-// simulated power failure then rewinds every tracked word to the
-// durable image (pmem/shadow.hpp, adversarial fidelity: write-backs
-// pending at the crash complete or not per the same PRNG), and the
-// verifier replays AnnouncementBoard::recover() against that image and
-// checks the detectability contract:
+// One iteration builds a fresh structure, prefills it (durable by
+// construction), switches the pmem layer into shadow-NVM mode, arms a
+// crash at a persistence-instruction boundary (pmem/crash.hpp) and
+// runs the lanes until it fires.  Every operation goes through
+// history.hpp's recording adapters, so a pending-at-crash op is a
+// dangling invoke.  The simulated power failure rewinds every tracked
+// word to the durable image (pmem/shadow.hpp; under adversarial
+// fidelity a PRNG coin decides each pending write-back), each lane's
+// recover() goes through the per-lane oracle, the durable contents are
+// walked, and the entry point's verification runs: the exact contents
+// oracle, or the checker.  The crash is then undone (shadow::uncrash)
+// and the structure torn down through its destructor — a real crash
+// never runs destructors, but a simulation has to.  Reclamation is
+// paused for the iteration so a rewound durable link never targets a
+// recycled cell.
 //
-//   D1  The durable descriptor matches exactly one operation the
-//       thread ran: the last durably-committed one, or the in-flight
-//       one.  Anything else is a lost or duplicated commit.
-//   D2  If it names a completed (pre-crash) operation, it must carry
-//       that operation's full response (kind, key, ok, result), and
-//       every later completed operation must have been a find — the
-//       only operations entitled to leave no durable trace (the
-//       read-only optimization).
-//   D3  If it names the in-flight operation as done, the response must
-//       be the one the durable contents imply — completed-with-
-//       response XOR not-applied, never "completed" with the effect
-//       lost.
-//   D4  The durable contents (lists: logical key walk; queues: value
-//       walk) must equal the model after the last completed operation,
-//       with or without the in-flight operation's effect — no lost or
-//       duplicated effects, and the walk itself must be well-formed
-//       (no durable links into never-persisted memory, no cycles).
+// Scenario code (README "Crash scenarios") runs at four fixed points
+// of that sequence, whatever the lane count:
 //
-// Structures without a snapshot surface (BST/skiplist/stack/
-// exchanger) are verified against D1-D2 and the D3 response-shape
-// rules only.
+//   pre-rewind    reclaim_crash: every parked (retired) cell must be
+//                 durably clean.  stalled_thread: quiesce around the
+//                 parked worker instead of joining it.
+//   post-recover  repeated_crash: crash again inside recovery, at the
+//                 RecoverySeal write, up to chain_depth times.
+//   post-join     thread_death: a fresh thread adopts the dead lane's
+//                 slot and recovers it.
+//   post-uncrash  stalled_thread: release the parked worker; check its
+//                 late response and the resumed history.
 //
-// Determinism: everything derives from {seed, iteration}; a reported
-// failure's {structure, seed, crash_point} triple replays bit-for-bit
-// through fuzz_one() (the REPRO_SEED satellite feeds the same base
-// seed to benches and tests).  Reclamation is paused for the span of
-// an iteration so a rewound durable link can never target a recycled
-// cell; after verification the crash is undone (shadow::uncrash) and
-// the structure torn down through the normal destructor path — a real
-// crash never runs destructors, but a simulation has to.
+// thread_death and stalled_thread need a bystander: the concurrent
+// driver floors them at two lanes, and fuzz_one — whose lane is the
+// calling thread — runs them as a single crash.
+//
+// Determinism: everything derives from {seed, iteration}.  The one-lane
+// draw order — the crash point, the per-key prefill coin, then per op
+// the key and dice draws (sets) or a coin and a `1 + (next >> 1)` value
+// (queues, stacks), exchanges spinning 2 — is what
+// tests/corpus/regressions.jsonl replays.  A concurrent {seed,
+// crash_point} pair reruns the same draws but not the same
+// interleaving, so its failures carry the recorded history (JSONL),
+// which re-checks deterministically.
 #pragma once
 
 #include <algorithm>
@@ -60,8 +58,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
-#include <set>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,8 +66,9 @@
 #include "repro/ds/detectable.hpp"
 #include "repro/harness/history.hpp"
 #include "repro/harness/linearize.hpp"
+#include "repro/harness/oracle.hpp"
 #include "repro/harness/registry.hpp"
-#include "repro/harness/runner.hpp"
+#include "repro/harness/sinks.hpp"
 #include "repro/harness/workload.hpp"
 #include "repro/mem/ebr.hpp"
 #include "repro/mem/hp.hpp"
@@ -82,10 +80,8 @@
 namespace repro::harness {
 
 // Which adversarial crash family an iteration runs (README "Crash
-// scenarios").  single_crash is the PR 4/5 behaviour: one full-system
-// stop, one recovery pass.  The single-threaded driver additionally
-// understands repeated_crash; the concurrent driver understands
-// thread_death and stalled_thread.
+// scenarios").  single_crash is one full-system stop and one recovery
+// pass; the others hook into the driver at the points listed above.
 enum class ScenarioKind {
   single_crash,    // one full-system stop, one recovery pass
   repeated_crash,  // chained crashes landing inside recovery (K <= 4)
@@ -179,46 +175,57 @@ struct FuzzReport {
   std::vector<FuzzFailure> failures;  // first few, for the reproducer
 };
 
+struct ConcurrentCrashPlan {
+  int threads = 3;
+  int ops_per_thread = 10;  // threads * ops_per_thread must stay <= 128
+  std::uint64_t seed = 0;   // 0 → global_seed() (REPRO_SEED)
+  int points = 0;           // fuzz iterations per structure; 0 → off
+  // Horizon for the random crash-point draw; sized so most draws land
+  // inside the workload's persistence-instruction stream.
+  std::uint64_t max_events = 160;
+  pmem::shadow::CrashFidelity fidelity =
+      pmem::shadow::CrashFidelity::adversarial;
+  std::uint64_t checker_states = 4'000'000;  // DFS node budget
+  // Any scenario; repeated_crash chains up to 3 crashes inside
+  // recovery.
+  ScenarioKind scenario = ScenarioKind::single_crash;
+  // stalled_thread: horizon for the stall-point draw (the stalled
+  // worker parks at that persistence instruction, strictly before the
+  // crash point).  0 → max_events / 2.
+  std::uint64_t stall_horizon = 0;
+
+  std::uint64_t effective_seed() const {
+    return seed != 0 ? seed : global_seed();
+  }
+};
+
+// One confirmed violation.  The history replays deterministically
+// through the checker (tests/test_corpus.cpp shows how); {base_seed,
+// iteration} re-runs the same workload draws, though not the same
+// thread interleaving.
+struct ConcurrentFuzzFailure {
+  std::string structure;
+  std::uint64_t seed = 0;         // iteration seed
+  std::uint64_t base_seed = 0;    // the run's plan seed
+  std::uint64_t crash_point = 0;  // persistence-instruction index
+  int threads = 0;
+  int iteration = -1;
+  std::string what;
+  std::string history_jsonl;  // metadata line + recorded events
+};
+
+struct ConcurrentFuzzReport {
+  int points = 0;      // iterations executed
+  int crashes = 0;     // iterations where the crash actually fired
+  int violations = 0;  // checker/walk failures (0 == pass)
+  int undecided = 0;   // checker state-budget exhaustions (not failures)
+  std::uint64_t total_ops = 0;       // history ops across iterations
+  std::uint64_t checker_states = 0;  // DFS nodes across iterations
+  double recovery_us_total = 0;
+  std::vector<ConcurrentFuzzFailure> failures;  // first few
+};
+
 namespace fuzz_detail {
-
-// What the driver remembers about one completed operation.
-struct OpRec {
-  std::uint64_t board_seq = 0;  // descriptor seq after the op (volatile)
-  ds::OpKind kind = ds::OpKind::none;
-  std::int64_t key = 0;
-  bool ok = false;
-  std::uint64_t result = 0;
-  bool mutating = false;  // insert/erase/enqueue/dequeue/push/pop
-};
-
-// One OpKind-to-string mapping for the whole harness: history.hpp's
-// op_kind_name (already in scope via the include above).
-using harness::op_kind_name;
-
-// Contents models.  The set model mirrors a list's logical key set;
-// the queue model mirrors values front to back.
-struct Model {
-  std::set<std::int64_t> keys;
-  std::vector<std::uint64_t> values;
-
-  void apply_set(ds::OpKind k, std::int64_t key) {
-    if (k == ds::OpKind::insert) keys.insert(key);
-    if (k == ds::OpKind::erase) keys.erase(key);
-  }
-  void apply_queue(ds::OpKind k, std::uint64_t v) {
-    if (k == ds::OpKind::enqueue) values.push_back(v);
-    if (k == ds::OpKind::dequeue && !values.empty()) {
-      values.erase(values.begin());
-    }
-  }
-};
-
-inline bool set_equals(const std::set<std::int64_t>& model,
-                       std::vector<std::int64_t> walked) {
-  std::sort(walked.begin(), walked.end());
-  return walked.size() == model.size() &&
-         std::equal(walked.begin(), walked.end(), model.begin());
-}
 
 // The recovery pass itself (AnnouncementBoard::recover) is pure loads,
 // so a crash re-armed "inside recovery" would have no persistence
@@ -270,6 +277,613 @@ struct RecoverySeal {
   }
 };
 
+inline constexpr std::int64_t kKeyRange = 24;
+
+// What an entry point fixes about its iterations.  `exact` is
+// fuzz_one: one lane on the calling thread, values drawn from the
+// iteration's PRNG, DC3/DC4 checked by the contents oracle.
+struct Config {
+  bool exact = false;
+  ScenarioKind scenario = ScenarioKind::single_crash;
+  pmem::shadow::CrashFidelity fidelity =
+      pmem::shadow::CrashFidelity::adversarial;
+  int lanes = 1;
+  int ops_per_lane = 0;
+  int chain_depth = 3;
+  std::vector<std::uint64_t> replay_chain;
+  std::uint64_t stall_horizon = 0;
+  std::uint64_t checker_states = 0;
+};
+
+// The replay coordinates every fuzz failure line starts with.
+template <typename Failure>
+std::string replay_fields(const Failure& x) {
+  return "\"structure\":\"" + x.structure +
+         "\",\"seed\":" + std::to_string(x.seed) +
+         ",\"base_seed\":" + std::to_string(x.base_seed) +
+         ",\"crash_point\":" + std::to_string(x.crash_point);
+}
+
+// What one iteration adds to its entry point's report.
+struct Tally {
+  int crashes = 0;
+  int undecided = 0;
+  std::uint64_t total_ops = 0;
+  std::uint64_t checker_states = 0;
+  double recovery_us = 0;
+};
+
+inline double us_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// One fuzz iteration, for either entry point.  Each violation goes to
+// `on_failure`, which reads the replay coordinates off the driver.
+class Driver {
+ public:
+  using OnFailure = std::function<void(const Driver&, const std::string&)>;
+
+  Driver(const AlgoEntry& algo, Config cfg, std::uint64_t iter_seed,
+         std::uint64_t crash_point, Rng& rng, OnFailure on_failure)
+      : algo_(algo),
+        cfg_(std::move(cfg)),
+        seed_(iter_seed),
+        crash_point_(crash_point),
+        rng_(rng),
+        on_failure_(std::move(on_failure)),
+        history_(cfg_.lanes, static_cast<std::size_t>(cfg_.ops_per_lane)),
+        lanes_(static_cast<std::size_t>(cfg_.lanes)) {}
+
+  std::uint64_t crash_point() const { return crash_point_; }
+  const std::vector<std::uint64_t>& chain() const { return chain_points_; }
+  const HistoryRecorder& history() const { return history_; }
+
+  Tally run() {
+    namespace shadow = pmem::shadow;
+    std::vector<lin::Op> ops;
+    {
+      mem::ReclaimPause pause;
+      auto holder = algo_.make();
+      s_ = holder.get();
+      // Kind dispatch: exactly one interface matches.
+      set_ = dynamic_cast<SetIface*>(s_);
+      queue_ = dynamic_cast<QueueIface*>(s_);
+      stack_ = dynamic_cast<StackIface*>(s_);
+      ex_ = dynamic_cast<ExchangerIface*>(s_);
+      // The durable-image walk vouches for pointers by checking them
+      // against the pool slab directory; the no-reclaim ablations
+      // allocate with raw `new` outside any pool, so they are verified
+      // at the descriptor level only.
+      contents_checked_ = s_->has_snapshot() &&
+                          (set_ != nullptr || queue_ != nullptr) &&
+                          !algo_.has_trait("no-reclaim");
+      prefill();
+      {
+        pmem::ModeGuard mode(pmem::Mode::shadow);
+        shadow::reset();
+        arm();
+        run_lanes();
+        crashed_ = pmem::crash::crashed();
+        pmem::crash::disarm();
+        ops = lin::ops_from_history(history_);
+        if (crashed_) {
+          ++tally_.crashes;
+          history_.mark_crash();
+          if (cfg_.scenario == ScenarioKind::reclaim_crash) {
+            scan_parked_cells();
+          }
+          // Power failure: rewind to the durable image.
+          Rng coin(mix_seed(seed_, crash_point_));
+          shadow::crash(cfg_.fidelity,
+                        [&coin] { return coin.below(2) == 0; });
+          recover_lanes(ops);
+          walk();
+          if (cfg_.scenario == ScenarioKind::repeated_crash) {
+            crash_inside_recovery();
+          }
+        }
+        if (cfg_.scenario == ScenarioKind::thread_death) {
+          adopt_dead_lane(ops);
+        }
+        if (cfg_.exact) {
+          verify_contents();
+        } else if (walk_ok_) {
+          verify_history(ops);
+        }
+        // Back to the pre-crash machine state so teardown and
+        // reclamation run on consistent memory.  The seal is a member,
+        // so the words uncrash() replays outlive it.
+        if (crashed_) shadow::uncrash();
+        if (parked_) resume_stalled(ops);
+        if (cfg_.scenario == ScenarioKind::stalled_thread) {
+          pmem::crash::disarm_stall();
+        }
+        shadow::reset();
+      }
+      tally_.total_ops = cfg_.exact ? lanes_[0].done.size() : ops.size();
+      holder.reset();
+    }  // ReclaimPause ends here, so the quiesce below drains the limbo
+    mem::EpochDomain::instance().quiesce();
+    mem::PopDomain::instance().quiesce();
+    mem::HpDomain::instance().quiesce();
+    return tally_;
+  }
+
+ private:
+  struct alignas(64) Lane {
+    int slot = -1;
+    Rng rng;
+    ds::Recovered base;                // before the lane's first op
+    oracle::LaneVerdict verdict;       // desc: latest recovered descriptor
+    oracle::LaneOp inflight;           // kind none: nothing pending
+    std::vector<oracle::LaneOp> done;  // completed ops, with board seqs
+  };
+
+  // Prefill before shadow tracking starts: durable by construction.
+  void prefill() {
+    if (set_ != nullptr) {
+      for (std::int64_t k = 1; k <= kKeyRange; ++k) {
+        if (rng_.below(2) == 0 && set_->insert(k)) initial_.keys.push_back(k);
+      }
+    }
+    const std::uint64_t n = queue_ != nullptr || stack_ != nullptr
+                                ? (cfg_.exact ? 8 : 6)
+                                : 0;
+    for (std::uint64_t v = 1; v <= n; ++v) {
+      queue_ != nullptr ? queue_->enqueue(v) : stack_->push(v);
+      initial_.values.push_back(v);
+    }
+  }
+
+  void arm() {
+    if (cfg_.scenario == ScenarioKind::thread_death) {
+      pmem::crash::set_thread_latch(true);
+    }
+    if (cfg_.scenario == ScenarioKind::stalled_thread) {
+      // Stall strictly before the crash so the parked worker spans the
+      // failure: both countdowns drain on the same instruction stream,
+      // and the parked thread stops consuming instructions, so the
+      // crash lands on a survivor.
+      const std::uint64_t stall_point = 1 + rng_.below(cfg_.stall_horizon);
+      if (crash_point_ <= stall_point) {
+        crash_point_ = stall_point + 1 + (crash_point_ % 8);
+      }
+      pmem::crash::arm_stall(stall_point);
+    }
+    pmem::crash::arm(crash_point_);
+  }
+
+  void run_lanes() {
+    if (cfg_.exact) {
+      // On the calling thread, continuing the iteration's draw stream:
+      // the replayed triple keeps its slot and its exact draws.
+      lanes_[0].rng = rng_;
+      run_lane(0);
+      return;
+    }
+    workers_.reserve(lanes_.size());
+    for (int t = 0; t < cfg_.lanes; ++t) {
+      lanes_[static_cast<std::size_t>(t)].rng =
+          Rng(mix_seed(seed_, 0x777u + static_cast<std::uint64_t>(t)));
+      workers_.emplace_back([this, t] {
+        run_lane(t);
+        // Hold the thread slot, asleep, until every lane is done: slots
+        // recycle at thread exit, and a lane that exited early would
+        // hand its descriptor to a lane spawned after it.
+        int n = finished_.fetch_add(1, std::memory_order_acq_rel) + 1;
+        finished_.notify_all();
+        while (n < cfg_.lanes) {
+          finished_.wait(n, std::memory_order_acquire);
+          n = finished_.load(std::memory_order_acquire);
+        }
+      });
+    }
+    // Pre-rewind, stalled_thread: quiescence is every worker finished
+    // but the parked one.  It sits inside on_instruction's gate spin,
+    // before the instruction's effect, holding no shard locks — so
+    // rewind and verification can run around it; its join waits for
+    // the post-uncrash release.
+    if (cfg_.scenario == ScenarioKind::stalled_thread) {
+      for (;;) {
+        const int n = finished_.load(std::memory_order_acquire);
+        if (n == cfg_.lanes) break;
+        if (n == cfg_.lanes - 1 && pmem::crash::stall_hit()) {
+          parked_ = true;
+          return;
+        }
+        std::this_thread::yield();
+      }
+    }
+    for (std::thread& th : workers_) th.join();
+  }
+
+  void run_lane(int t) {
+    Lane& l = lanes_[static_cast<std::size_t>(t)];
+    l.slot = ds::thread_slot();
+    // Own-slot descriptor reads are race-free: only this thread writes
+    // it.
+    l.base = s_->recover(l.slot);
+    l.done.reserve(static_cast<std::size_t>(cfg_.ops_per_lane));
+    try {
+      for (int o = 0; o < cfg_.ops_per_lane && !pmem::crash::crashed();
+           ++o) {
+        oracle::LaneOp op = step(l, t, o);
+        op.board_seq = s_->recover(l.slot).seq;  // volatile ground truth
+        l.done.push_back(op);
+      }
+    } catch (const pmem::crash::CrashUnwind&) {
+      // The lane's last invoke stays dangling: pending at the crash (or
+      // at this thread's own death in latch mode).
+    }
+  }
+
+  // One operation, drawn from the lane's PRNG and run through the
+  // recording adapter.  The one-lane replay draws values from its PRNG;
+  // concurrent lanes use unique per-(lane, op) values above the
+  // prefill range, so FIFO/LIFO violations — and the zero/stale
+  // payloads a dropped pre_publish leaves durable — cannot alias a
+  // legitimate value.
+  oracle::LaneOp step(Lane& l, int t, int o) {
+    auto value = [&](std::uint64_t bias) {
+      return cfg_.exact ? bias + (l.rng.next() >> 1)
+                    : static_cast<std::uint64_t>((t + 1) * 100 + o);
+    };
+    oracle::LaneOp op;
+    std::uint64_t out = 0;
+    if (set_ != nullptr) {
+      op.key = 1 + static_cast<std::int64_t>(
+                       l.rng.below(static_cast<std::uint64_t>(kKeyRange)));
+      const std::uint64_t dice = l.rng.below(10);
+      // reclaim_crash is erase-biased: each successful erase retires a
+      // node, so the instruction stream is dense in retire/scan-path
+      // instructions and the armed crash lands inside reclamation far
+      // more often.
+      const bool reclaim = cfg_.scenario == ScenarioKind::reclaim_crash;
+      op.kind = dice < (reclaim ? 3u : 4u)   ? ds::OpKind::insert
+                : dice < (reclaim ? 9u : 8u) ? ds::OpKind::erase
+                                             : ds::OpKind::find;
+      op.traced = op.kind != ds::OpKind::find;
+      RecordedSet r(*set_, history_, t);
+      op.ok = op.kind == ds::OpKind::insert  ? r.insert(op.key)
+              : op.kind == ds::OpKind::erase ? r.erase(op.key)
+                                             : r.find(op.key);
+      op.result = op.ok ? 1 : 0;
+    } else if (ex_ != nullptr) {
+      const std::uint64_t v = value(0);
+      op.kind = ds::OpKind::exchange;
+      op.key = static_cast<std::int64_t>(v);
+      // One lane has no partner: a short spin times out.
+      op.ok = RecordedExchanger(*ex_, history_, t)
+                  .exchange(v, cfg_.exact ? 2 : 24, out);
+      op.result = out;
+    } else if (l.rng.below(2) == 0) {
+      const std::uint64_t v = value(1);
+      op.key = static_cast<std::int64_t>(v);
+      op.ok = true;
+      op.result = v;
+      if (queue_ != nullptr) {
+        op.kind = ds::OpKind::enqueue;
+        RecordedQueue(*queue_, history_, t).enqueue(v);
+      } else {
+        op.kind = ds::OpKind::push;
+        RecordedStack(*stack_, history_, t).push(v);
+      }
+    } else {
+      op.kind = queue_ != nullptr ? ds::OpKind::dequeue : ds::OpKind::pop;
+      op.ok = queue_ != nullptr
+                  ? RecordedQueue(*queue_, history_, t).dequeue(out)
+                  : RecordedStack(*stack_, history_, t).pop(out);
+      op.result = out;
+    }
+    return op;
+  }
+
+  // Pre-rewind, reclaim_crash — checked against the pre-rewind
+  // tracking state (shadow::crash makes every word clean): every parked
+  // cell, retired into any scheme's limbo/batch under the iteration's
+  // ReclaimPause, must be durably equal to its volatile contents.
+  // persist-before-retire (mem::detail::persist_retired) guarantees
+  // it; the REPRO_MUTATE_DROP_RETIRE_PERSIST build elides its fence and
+  // must be caught here — a retired-but-dirty cell means a rewound
+  // durable link could reach a torn image of it.
+  void scan_parked_cells() {
+    struct {
+      std::size_t parked = 0;
+      std::size_t dirty = 0;
+    } scan;
+    mem::for_each_parked_cell(
+        &scan, [](void* ctx, const void* cell, std::size_t bytes) {
+          auto* d = static_cast<decltype(scan)*>(ctx);
+          ++d->parked;
+          if (pmem::shadow::range_dirty(cell, bytes)) ++d->dirty;
+        });
+    if (scan.dirty != 0) {
+      fail(std::to_string(scan.dirty) + " of " +
+           std::to_string(scan.parked) +
+           " parked cells hold unpersisted stores at crash "
+           "(persist-before-retire)");
+    }
+  }
+
+  static lin::Op* pending_op(std::vector<lin::Op>& ops, std::size_t lane) {
+    for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
+      if (it->lane == static_cast<int>(lane) && it->response_ts == lin::kNever) {
+        return &*it;
+      }
+    }
+    return nullptr;
+  }
+
+  // The per-lane oracle on one recovered descriptor.  A must verdict
+  // makes the lane's pending op a `must` with the descriptor's
+  // response — the checker input the paper's contract implies.
+  void judge(std::size_t t, const ds::Recovered& d,
+             std::vector<lin::Op>& ops, const char* who) {
+    Lane& l = lanes_[t];
+    lin::Op* pend = pending_op(ops, t);
+    if (pend != nullptr) {
+      l.inflight.kind = pend->kind;
+      l.inflight.key = pend->input;
+    }
+    l.verdict = oracle::judge_lane(
+        l.base, l.done, d,
+        pend != nullptr ? oracle::InFlight::known : oracle::InFlight::none,
+        l.inflight);
+    if (l.verdict.verdict == oracle::Verdict::violation) {
+      fail(std::string(who) + " " + std::to_string(t) + ": " +
+           l.verdict.what);
+    }
+    if (pend == nullptr) return;
+    if (l.verdict.verdict == oracle::Verdict::must) {
+      pend->pending = lin::Pending::must;
+      pend->ok = d.ok;
+      pend->result = d.result;
+    }
+    char diag[128];
+    std::snprintf(diag, sizeof(diag),
+                  "; %s %zu pending %s(%lld) verdict=%s ok=%d result=%llu",
+                  who, t, op_kind_name(pend->kind),
+                  static_cast<long long>(pend->input),
+                  pend->pending == lin::Pending::must ? "must" : "may",
+                  pend->ok ? 1 : 0,
+                  static_cast<unsigned long long>(pend->result));
+    diag_ += diag;
+  }
+
+  void recover_lanes(std::vector<lin::Op>& ops) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t t = 0; t < lanes_.size(); ++t) {
+      judge(t, s_->recover(lanes_[t].slot), ops, "lane");
+    }
+    tally_.recovery_us += us_since(t0);
+  }
+
+  bool walk_into(std::vector<std::int64_t>& keys,
+                 std::vector<std::uint64_t>& values) const {
+    return set_ != nullptr ? s_->snapshot_keys(keys)
+                           : s_->snapshot_values(values);
+  }
+
+  // Durable contents, walked while the structure physically holds the
+  // durable image.
+  void walk() {
+    if (!contents_checked_) return;
+    walk_ok_ = walk_into(durable_keys_, durable_values_);
+    if (!walk_ok_) {
+      fail("durable image walk failed: link into never-persisted memory "
+           "or a cycle");
+    }
+  }
+
+  // Post-recover, repeated_crash: the adversary crashes again inside
+  // the recovery pass — at the RecoverySeal consolidation write — up to
+  // chain_depth times, re-recovering after each and holding recovery
+  // to idempotence.  The machine stays crashed between links (each
+  // shadow::crash keeps the accumulated undo log); the one uncrash()
+  // after verification restores the whole pre-crash state.
+  void crash_inside_recovery() {
+    const std::uint64_t link = mix_seed(seed_, crash_point_);
+    const int depth_cap = std::clamp(cfg_.chain_depth, 1, 3);
+    for (int depth = 0; depth < depth_cap; ++depth) {
+      const auto du = static_cast<std::uint64_t>(depth);
+      const std::uint64_t point =
+          du < cfg_.replay_chain.size()
+              ? cfg_.replay_chain[du]
+              : 1 + mix_seed(link, du) % RecoverySeal::kSealWindow;
+      pmem::crash::arm(point);
+      bool chained = false;
+      try {
+        seal_.write(du + 1);
+      } catch (const pmem::crash::CrashUnwind&) {
+        chained = true;
+      }
+      pmem::crash::disarm();
+      if (!chained) break;  // seal completed; the chain ends here
+      chain_points_.push_back(point);
+      Rng coin(mix_seed(link, 0x5EA1'0000ull + du));
+      pmem::shadow::crash(
+          cfg_.fidelity, [&coin] { return coin.below(2) == 0; },
+          /*keep_undo=*/true);
+      if (!seal_.durable_consistent()) {
+        fail("recovery seal ordering violated: valid durable without its "
+             "seq (crash inside recover())");
+      }
+      // Idempotence: every recovery pass returns the verdict the first
+      // did — the chained crash could only touch the seal's own lines.
+      const auto t1 = std::chrono::steady_clock::now();
+      for (Lane& l : lanes_) {
+        const ds::Recovered again = s_->recover(l.slot);
+        if (!oracle::same_descriptor(again, l.verdict.desc)) {
+          fail("recovery is not idempotent across a crash inside "
+               "recover()");
+        }
+        l.verdict.desc = again;
+      }
+      tally_.recovery_us += us_since(t1);
+      // Nor can the structure's durable contents have moved.
+      std::vector<std::int64_t> keys;
+      std::vector<std::uint64_t> values;
+      if (contents_checked_ && walk_ok_ &&
+          (!walk_into(keys, values) || keys != durable_keys_ ||
+           values != durable_values_)) {
+        fail("chained recovery mutated the durable contents");
+      }
+    }
+  }
+
+  // Post-join, thread_death: the machine never lost power — the
+  // latch-mode countdown killed one worker mid-op while the survivors
+  // ran to completion, so the only pending op is the dead lane's.  A
+  // fresh thread adopts its slot and recovers it, and the verdict feeds
+  // the checker.  No durable cut: the volatile state is the truth.
+  void adopt_dead_lane(std::vector<lin::Op>& ops) {
+    for (std::size_t t = 0; t < lanes_.size(); ++t) {
+      if (pending_op(ops, t) == nullptr) continue;
+      ++tally_.crashes;  // the adversary fired
+      const int slot = lanes_[t].slot;
+      // The dead worker's thread-exit cleanup already cleared its epoch
+      // pin; reset_slot_pin makes the harness's "this lane is dead"
+      // claim explicit before the slot is adopted.
+      mem::EpochDomain::instance().reset_slot_pin(slot);
+      mem::PopDomain::instance().reset_slot_pin(slot);
+      ds::Recovered adopted;
+      std::thread([&] { adopted = s_->recover(slot); }).join();
+      judge(t, adopted, ops, "dead lane");
+    }
+  }
+
+  // fuzz_one: DC3/DC4 against the exact one-lane model.
+  void verify_contents() {
+    if (!crashed_ || !contents_checked_ || !walk_ok_) return;
+    const Lane& l = lanes_[0];
+    oracle::Contents model = initial_;
+    std::string why = oracle::replay(model, l.done);
+    if (why.empty()) {
+      why = oracle::judge_contents(
+          model, l.verdict,
+          l.inflight.kind != ds::OpKind::none ? &l.inflight : nullptr,
+          oracle::Contents::walked(durable_keys_, durable_values_));
+    }
+    if (!why.empty()) fail(why);
+  }
+
+  lin::Spec spec() const {
+    lin::Spec sp;
+    sp.kind = set_ != nullptr     ? lin::Semantics::set
+              : queue_ != nullptr ? lin::Semantics::queue
+              : stack_ != nullptr ? lin::Semantics::stack
+                                  : lin::Semantics::exchanger;
+    sp.initial_keys = initial_.keys;
+    sp.initial_values = initial_.values;
+    sp.max_states = cfg_.checker_states;
+    return sp;
+  }
+
+  // concurrent_fuzz_one: the history must linearize, with the durable
+  // cut when the machine crashed.
+  void verify_history(const std::vector<lin::Op>& ops) {
+    lin::Spec sp = spec();
+    if (crashed_ && contents_checked_) {
+      // Stalled-thread + set: the parked worker can hold an unfenced
+      // incoming link across the whole window, so later completed
+      // inserts build durably on top of it and the durable image need
+      // not be a prefix of any linearization — the same cross-thread
+      // hostage window that already exempts sets from the
+      // must-inside-the-cut rule (linearize.hpp), held open for the
+      // stall's full duration.  The walk integrity check and the
+      // linearization itself still run; only the prefix-cut constraint
+      // is waived.  Queues/stacks keep it: persist-link-before-publish
+      // closes the window.
+      sp.check_durable = !(cfg_.scenario == ScenarioKind::stalled_thread &&
+                           set_ != nullptr);
+      sp.durable_keys = durable_keys_;
+      sp.durable_values = durable_values_;
+    }
+    check(ops, sp, "");
+  }
+
+  void check(const std::vector<lin::Op>& ops, const lin::Spec& sp,
+             const std::string& prefix) {
+    const lin::Result res = lin::check(ops, sp);
+    tally_.checker_states += res.states;
+    if (res.verdict == lin::Verdict::budget_exhausted) ++tally_.undecided;
+    if (res.verdict != lin::Verdict::violation) return;
+    // The walked durable image is part of the verdict's input; carry it
+    // so a dumped failure is self-contained.
+    std::string what = prefix + res.what;
+    auto join = [](const auto& xs) {
+      std::string out;
+      for (auto x : xs) out += (out.empty() ? "" : " ") + std::to_string(x);
+      return out;
+    };
+    if (sp.check_durable) {  // one of the two is empty
+      what += "; durable image = [" + join(sp.durable_keys) +
+              join(sp.durable_values) + "]";
+    }
+    fail(what + diag_);
+  }
+
+  // Post-uncrash, stalled_thread: power is back and the plan disarmed,
+  // so the parked worker is released.  It finishes the op it was parked
+  // inside — its late stores land on the restored state — and runs the
+  // rest of its budget as ordinary ops.
+  void resume_stalled(const std::vector<lin::Op>& before) {
+    pmem::crash::release_stall();
+    for (std::thread& th : workers_) th.join();
+    const std::vector<lin::Op> after = lin::ops_from_history(history_);
+    // A committed-at-crash op cannot come back claiming a different
+    // outcome than its durable must-verdict.
+    for (const lin::Op& b : before) {
+      for (const lin::Op& a : after) {
+        if (b.pending == lin::Pending::must && a.lane == b.lane &&
+            a.id == b.id && a.response_ts != lin::kNever &&
+            (a.ok != b.ok || a.result != b.result)) {
+          fail("stalled thread resumed with a response disagreeing with "
+               "its durable must-verdict");
+        }
+      }
+    }
+    // And the full post-resume history must still linearize (no durable
+    // cut: the machine is back on) — the staller's late stores must not
+    // have corrupted the recovered state.
+    check(after, spec(), "post-resume history fails to linearize: ");
+  }
+
+  void fail(const std::string& what) { on_failure_(*this, what); }
+
+  const AlgoEntry& algo_;
+  const Config cfg_;
+  const std::uint64_t seed_;
+  std::uint64_t crash_point_;
+  Rng& rng_;
+  const OnFailure on_failure_;
+  Tally tally_;
+
+  Structure* s_ = nullptr;
+  SetIface* set_ = nullptr;
+  QueueIface* queue_ = nullptr;
+  StackIface* stack_ = nullptr;
+  ExchangerIface* ex_ = nullptr;
+  bool contents_checked_ = false;
+  oracle::Contents initial_;
+
+  HistoryRecorder history_;
+  std::vector<Lane> lanes_;
+  std::vector<std::thread> workers_;
+  std::atomic<int> finished_{0};
+  bool parked_ = false;
+  bool crashed_ = false;
+
+  bool walk_ok_ = true;
+  std::vector<std::int64_t> durable_keys_;
+  std::vector<std::uint64_t> durable_values_;
+  RecoverySeal seal_;
+  std::vector<std::uint64_t> chain_points_;
+  std::string diag_;  // lane verdicts, appended to checker failures
+};
+
 }  // namespace fuzz_detail
 
 // Runs one deterministic fuzz iteration.  `crash_point` of 0 lets the
@@ -278,9 +892,6 @@ struct RecoverySeal {
 inline void fuzz_one(const AlgoEntry& algo, const CrashPlan& plan,
                      std::uint64_t iter_seed, std::uint64_t crash_point,
                      int iteration, FuzzReport& report) {
-  using namespace fuzz_detail;
-  namespace shadow = pmem::shadow;
-
   Rng rng(iter_seed);
   // The crash-point draw is consumed unconditionally so that replaying
   // a reported failure with an explicit crash_point leaves the Rng in
@@ -293,445 +904,32 @@ inline void fuzz_one(const AlgoEntry& algo, const CrashPlan& plan,
     const std::uint64_t drawn = 1 + rng.below(plan.max_events);
     if (crash_point == 0) crash_point = drawn;
   }
-
+  fuzz_detail::Config cfg;
+  cfg.exact = true;
+  cfg.scenario = plan.scenario == ScenarioKind::thread_death ||
+                         plan.scenario == ScenarioKind::stalled_thread
+                     ? ScenarioKind::single_crash
+                     : plan.scenario;
+  cfg.fidelity = plan.fidelity;
+  cfg.ops_per_lane = plan.ops_budget;
+  cfg.chain_depth = plan.chain_depth;
+  cfg.replay_chain = plan.replay_chain;
   ++report.points;
-  // Retired cells must stay intact until the durable image has been
-  // verified (a rewound link may point at them); the braces end the
-  // pause before the final quiesce() so the iteration's limbo actually
-  // drains.
-  {
-  mem::ReclaimPause pause;
-  auto holder = algo.make();
-  Structure* s = holder.get();
-  const bool is_set = algo.kind == Kind::set;
-  const bool is_queue = algo.kind == Kind::queue;
-  auto* set = is_set ? dynamic_cast<SetIface*>(s) : nullptr;
-  auto* queue = is_queue ? dynamic_cast<QueueIface*>(s) : nullptr;
-  auto* stack =
-      algo.kind == Kind::stack ? dynamic_cast<StackIface*>(s) : nullptr;
-  auto* ex = algo.kind == Kind::exchanger
-                 ? dynamic_cast<ExchangerIface*>(s)
-                 : nullptr;
-  // The durable-image walk vouches for pointers by checking them
-  // against the pool slab directory; the no-reclaim ablations allocate
-  // with raw `new` outside any pool, so they are verified at the
-  // descriptor level only.
-  const bool contents_checked = s->has_snapshot() &&
-                                (is_set || is_queue) &&
-                                !algo.has_trait("no-reclaim");
-
-  // Chained crash points that have fired so far this iteration
-  // (repeated_crash); recorded into any failure as its crash_chain.
-  std::vector<std::uint64_t> chain_points;
-  auto fail = [&](const std::string& what) {
-    ++report.violations;
-    if (report.failures.size() < 8) {
-      FuzzFailure f;
-      f.structure = algo.name;
-      f.seed = iter_seed;
-      f.base_seed = plan.effective_seed();
-      f.crash_point = crash_point;
-      f.iteration = iteration;
-      f.what = what;
-      f.crash_chain = chain_points;
-      report.failures.push_back(std::move(f));
-    }
-  };
-
-  // Prefill before shadow tracking starts: its state is durable by
-  // construction (persisted before the crash plan began).
-  constexpr std::int64_t kKeyRange = 24;
-  Model model;
-  if (set != nullptr) {
-    for (std::int64_t k = 1; k <= kKeyRange; ++k) {
-      if (rng.below(2) == 0 && set->insert(k)) model.keys.insert(k);
-    }
-  } else if (queue != nullptr) {
-    for (std::uint64_t v = 1; v <= 8; ++v) {
-      queue->enqueue(v);
-      model.values.push_back(v);
-    }
-  } else if (stack != nullptr) {
-    for (std::uint64_t v = 1; v <= 8; ++v) stack->push(v);
-  }
-
-  const int slot = ds::thread_slot();
-  const ds::Recovered base = s->recover(slot);
-
-  std::vector<OpRec> done;
-  done.reserve(static_cast<std::size_t>(plan.ops_budget));
-  bool crashed = false;
-  OpRec inflight;
-
-  {
-    pmem::ModeGuard mode(pmem::Mode::shadow);
-    shadow::reset();
-    pmem::crash::arm(crash_point);
-    try {
-      for (int o = 0; o < plan.ops_budget; ++o) {
-        OpRec rec;
-        if (set != nullptr) {
-          rec.key = 1 + static_cast<std::int64_t>(
-                            rng.below(static_cast<std::uint64_t>(
-                                kKeyRange)));
-          const std::uint64_t dice = rng.below(10);
-          if (plan.scenario == ScenarioKind::reclaim_crash) {
-            // Erase-biased: each successful erase retires a node, so
-            // the persistence-instruction stream is dense in
-            // retire/scan-path instructions and the armed crash point
-            // lands inside reclamation far more often.
-            rec.kind = dice < 3   ? ds::OpKind::insert
-                       : dice < 9 ? ds::OpKind::erase
-                                  : ds::OpKind::find;
-          } else {
-            rec.kind = dice < 4   ? ds::OpKind::insert
-                       : dice < 8 ? ds::OpKind::erase
-                                  : ds::OpKind::find;
-          }
-          rec.mutating = rec.kind != ds::OpKind::find;
-          inflight = rec;
-          switch (rec.kind) {
-            case ds::OpKind::insert: rec.ok = set->insert(rec.key); break;
-            case ds::OpKind::erase: rec.ok = set->erase(rec.key); break;
-            default: rec.ok = set->find(rec.key); break;
-          }
-          rec.result = rec.ok ? 1 : 0;
-          if (rec.mutating && rec.ok) model.apply_set(rec.kind, rec.key);
-        } else if (queue != nullptr) {
-          if (rng.below(2) == 0) {
-            const std::uint64_t v = 1 + (rng.next() >> 1);
-            rec.kind = ds::OpKind::enqueue;
-            rec.key = static_cast<std::int64_t>(v);
-            rec.mutating = true;
-            inflight = rec;
-            queue->enqueue(v);
-            rec.ok = true;
-            rec.result = v;
-            model.apply_queue(rec.kind, v);
-          } else {
-            rec.kind = ds::OpKind::dequeue;
-            rec.mutating = true;
-            inflight = rec;
-            std::uint64_t out = 0;
-            rec.ok = queue->dequeue(out);
-            rec.result = out;
-            if (rec.ok) model.apply_queue(rec.kind, 0);
-          }
-        } else if (stack != nullptr) {
-          if (rng.below(2) == 0) {
-            const std::uint64_t v = 1 + (rng.next() >> 1);
-            rec.kind = ds::OpKind::push;
-            rec.key = static_cast<std::int64_t>(v);
-            rec.mutating = true;
-            inflight = rec;
-            stack->push(v);
-            rec.ok = true;
-            rec.result = v;
-          } else {
-            rec.kind = ds::OpKind::pop;
-            rec.mutating = true;
-            inflight = rec;
-            std::uint64_t out = 0;
-            rec.ok = stack->pop(out);
-            rec.result = out;
-          }
-        } else {
-          const std::uint64_t v = rng.next() >> 1;
-          rec.kind = ds::OpKind::exchange;
-          rec.key = static_cast<std::int64_t>(v);
-          rec.mutating = true;
-          inflight = rec;
-          std::uint64_t out = 0;
-          rec.ok = ex->exchange(v, 2, out);  // unpaired: times out
-          rec.result = out;
+  fuzz_detail::Driver driver(
+      algo, std::move(cfg), iter_seed, crash_point, rng,
+      [&](const fuzz_detail::Driver& d, const std::string& what) {
+        ++report.violations;
+        if (report.failures.size() < 8) {
+          report.failures.push_back({algo.name, iter_seed,
+                                     plan.effective_seed(), d.crash_point(),
+                                     iteration, what, d.chain()});
         }
-        rec.board_seq = s->recover(slot).seq;  // volatile ground truth
-        done.push_back(rec);
-      }
-    } catch (const pmem::crash::CrashUnwind&) {
-      crashed = true;
-    }
-    pmem::crash::disarm();
-
-    if (crashed) {
-      ++report.crashes;
-      // Crash-during-reclaim invariant, checked against the *pre-rewind*
-      // tracking state (shadow::crash makes every word clean):
-      // every parked cell — retired into any scheme's limbo/batch under
-      // the iteration's ReclaimPause — must be durably equal to its
-      // volatile contents.  persist-before-retire (flush+fence in
-      // mem::detail::persist_retired) is what guarantees it; the
-      // REPRO_MUTATE_DROP_RETIRE_PERSIST build elides that fence and
-      // must be caught here (a retired-but-dirty cell means a rewound
-      // durable link could reach a torn image of it).
-      if (plan.scenario == ScenarioKind::reclaim_crash) {
-        struct ParkedScan {
-          std::size_t parked = 0;
-          std::size_t dirty = 0;
-        } pscan;
-        mem::for_each_parked_cell(
-            &pscan, [](void* ctx, const void* cell, std::size_t bytes) {
-              auto* d = static_cast<ParkedScan*>(ctx);
-              ++d->parked;
-              if (pmem::shadow::range_dirty(cell, bytes)) ++d->dirty;
-            });
-        if (pscan.dirty != 0) {
-          char buf[96];
-          std::snprintf(buf, sizeof(buf),
-                        "%zu of %zu parked cells hold unpersisted "
-                        "stores at crash (persist-before-retire)",
-                        pscan.dirty, pscan.parked);
-          fail(buf);
-        }
-      }
-      // Power failure: rewind to the durable image.
-      Rng coin_rng(mix_seed(iter_seed, crash_point));
-      shadow::crash(plan.fidelity,
-                    [&coin_rng] { return coin_rng.below(2) == 0; });
-
-      const auto t0 = std::chrono::steady_clock::now();
-      const ds::Recovered rec = s->recover(slot);
-      report.recovery_us_total +=
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-
-      const std::uint64_t last_seq =
-          done.empty() ? base.seq : done.back().board_seq;
-      const std::uint64_t inflight_seq = last_seq + 1;
-
-      // Durable contents, walked while the structure physically holds
-      // the durable image.
-      bool walk_ok = true;
-      std::vector<std::int64_t> durable_keys;
-      std::vector<std::uint64_t> durable_values;
-      if (contents_checked) {
-        walk_ok = is_set ? s->snapshot_keys(durable_keys)
-                         : s->snapshot_values(durable_values);
-        if (!walk_ok) {
-          fail("durable image walk failed: link into never-persisted "
-               "memory or a cycle");
-        }
-      }
-
-      // D4: contents must be the model with or without the in-flight
-      // effect.
-      bool inflight_effect_applied = false;
-      if (contents_checked && walk_ok) {
-        Model with = model;  // model already reflects completed ops
-        bool ambiguous = false;  // effect is a no-op (e.g. failed erase)
-        if (is_set) {
-          Model without = model;
-          if (inflight.kind != ds::OpKind::none && inflight.mutating) {
-            with.apply_set(inflight.kind, inflight.key);
-          }
-          const bool matches_without =
-              set_equals(without.keys, durable_keys);
-          const bool matches_with = set_equals(with.keys, durable_keys);
-          ambiguous = with.keys == without.keys;
-          inflight_effect_applied = matches_with && !ambiguous;
-          if (!matches_without && !matches_with) {
-            fail("durable set contents match neither pre- nor "
-                 "post-in-flight model");
-          }
-        } else {
-          Model without = model;
-          if (inflight.kind == ds::OpKind::enqueue) {
-            with.apply_queue(ds::OpKind::enqueue,
-                             static_cast<std::uint64_t>(inflight.key));
-          } else if (inflight.kind == ds::OpKind::dequeue) {
-            with.apply_queue(ds::OpKind::dequeue, 0);
-          }
-          const bool matches_without = durable_values == without.values;
-          const bool matches_with = durable_values == with.values;
-          ambiguous = with.values == without.values;
-          inflight_effect_applied = matches_with && !ambiguous;
-          if (!matches_without && !matches_with) {
-            fail("durable queue contents match neither pre- nor "
-                 "post-in-flight model");
-          }
-        }
-      }
-
-      // D1-D3: descriptor vs. the thread's operation history.
-      if (rec.seq == inflight_seq) {
-        // The in-flight operation's announcement reached the durable
-        // image.  Pending is always legitimate; done must carry a
-        // response consistent with the durable contents.
-        if (rec.completed) {
-          if (contents_checked && walk_ok && inflight.mutating) {
-            bool response_ok = true;
-            if (is_set) {
-              const bool present = model.keys.count(inflight.key) > 0;
-              const bool expect_ok =
-                  inflight.kind == ds::OpKind::insert ? !present
-                                                      : present;
-              // A committed-with-success mutation must have its effect
-              // durable; a committed no-op must not have one.
-              response_ok = rec.ok == expect_ok &&
-                            (!rec.ok || inflight_effect_applied);
-            } else if (inflight.kind == ds::OpKind::enqueue) {
-              response_ok = rec.ok && inflight_effect_applied;
-            } else {  // dequeue
-              const bool had = !model.values.empty();
-              response_ok =
-                  rec.ok == had &&
-                  (!rec.ok ||
-                   (inflight_effect_applied &&
-                    rec.result == model.values.front()));
-            }
-            if (!response_ok) {
-              fail(std::string("in-flight ") + op_kind_name(inflight.kind) +
-                   " committed durably but its response/effect "
-                   "disagree with the durable contents");
-            }
-          }
-        } else if (rec.kind != inflight.kind ||
-                   rec.key != inflight.key) {
-          fail("durable announcement names a different operation than "
-               "the in-flight one");
-        }
-      } else {
-        // Must be the last durably-committed operation, every later
-        // completed op a find.  Only ops that *announced* (bumped the
-        // board seq — finds without a DetectableOp never touch the
-        // descriptor) can be what the durable descriptor describes.
-        int match = -1;
-        for (int j = static_cast<int>(done.size()) - 1; j >= 0; --j) {
-          const auto ju = static_cast<std::size_t>(j);
-          const std::uint64_t prev_seq =
-              j == 0 ? base.seq : done[ju - 1].board_seq;
-          if (done[ju].board_seq == rec.seq &&
-              done[ju].board_seq != prev_seq) {
-            match = j;
-            break;
-          }
-        }
-        if (match < 0 && rec.seq == base.seq) {
-          // Rewound to the pre-workload state: legal only if no
-          // completed op was obliged to leave a trace, and the
-          // descriptor is byte-for-byte the pre-workload one.
-          bool all_traceless = true;
-          for (const OpRec& r : done) all_traceless &= !r.mutating;
-          if (!all_traceless) {
-            fail("durable descriptor predates committed mutations "
-                 "(lost commit)");
-          } else if (rec.completed != base.completed ||
-                     rec.kind != base.kind || rec.key != base.key ||
-                     rec.ok != base.ok || rec.result != base.result) {
-            fail("pre-workload descriptor corrupted across the crash");
-          }
-        } else if (match < 0) {
-          char buf[96];
-          std::snprintf(buf, sizeof(buf),
-                        "durable descriptor seq %llu matches no "
-                        "operation this thread ran",
-                        static_cast<unsigned long long>(rec.seq));
-          fail(buf);
-        } else {
-          const OpRec& m = done[static_cast<std::size_t>(match)];
-          if (!rec.completed || rec.kind != m.kind || rec.key != m.key ||
-              rec.ok != m.ok || rec.result != m.result) {
-            fail(std::string("durable descriptor for completed ") +
-                 op_kind_name(m.kind) +
-                 " lost or corrupted its response");
-          }
-          for (std::size_t j = static_cast<std::size_t>(match) + 1;
-               j < done.size(); ++j) {
-            if (done[j].mutating) {
-              fail("a later committed mutation left no durable trace "
-                   "(lost commit)");
-              break;
-            }
-          }
-        }
-      }
-
-      // Repeated-crash scenario: the adversary crashes again inside
-      // the recovery pass — at the RecoverySeal consolidation write —
-      // up to chain_depth times, re-recovering after each and holding
-      // recovery to idempotence.  The machine stays crashed between
-      // links (each shadow::crash keeps the accumulated undo log); the
-      // single uncrash() below restores the whole pre-crash state,
-      // the seal's rewound words included — so the seal lives in this
-      // scope, not the chain block's.
-      fuzz_detail::RecoverySeal seal;
-      if (plan.scenario == ScenarioKind::repeated_crash) {
-        ds::Recovered prev = rec;
-        const int depth_cap = std::clamp(plan.chain_depth, 1, 3);
-        for (int depth = 0; depth < depth_cap; ++depth) {
-          const auto du = static_cast<std::uint64_t>(depth);
-          const std::uint64_t chain_point =
-              static_cast<std::size_t>(depth) < plan.replay_chain.size()
-                  ? plan.replay_chain[static_cast<std::size_t>(depth)]
-                  : 1 + mix_seed(mix_seed(iter_seed, crash_point), du) %
-                            fuzz_detail::RecoverySeal::kSealWindow;
-          pmem::crash::arm(chain_point);
-          bool chained = false;
-          try {
-            seal.write(du + 1);
-          } catch (const pmem::crash::CrashUnwind&) {
-            chained = true;
-          }
-          pmem::crash::disarm();
-          if (!chained) break;  // seal completed; the chain ends here
-          ++report.chain_crashes;
-          chain_points.push_back(chain_point);
-          Rng chain_coin(mix_seed(mix_seed(iter_seed, crash_point),
-                                  0x5EA1'0000ull + du));
-          shadow::crash(
-              plan.fidelity,
-              [&chain_coin] { return chain_coin.below(2) == 0; },
-              /*keep_undo=*/true);
-          if (!seal.durable_consistent()) {
-            fail("recovery seal ordering violated: valid durable "
-                 "without its seq (crash inside recover())");
-          }
-          // Idempotence: the K-th recovery pass must return the
-          // verdict the first one did — the chained crash could only
-          // have touched the seal's own lines.
-          const auto t1 = std::chrono::steady_clock::now();
-          const ds::Recovered again = s->recover(slot);
-          report.recovery_us_total +=
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - t1)
-                  .count();
-          if (again.seq != prev.seq ||
-              again.completed != prev.completed ||
-              again.kind != prev.kind || again.key != prev.key ||
-              again.ok != prev.ok || again.result != prev.result) {
-            fail("recovery is not idempotent across a crash inside "
-                 "recover()");
-          }
-          // Nor can the structure's durable contents have moved.
-          if (contents_checked && walk_ok) {
-            std::vector<std::int64_t> keys_again;
-            std::vector<std::uint64_t> values_again;
-            const bool rewalk_ok = is_set
-                                       ? s->snapshot_keys(keys_again)
-                                       : s->snapshot_values(values_again);
-            if (!rewalk_ok || (is_set ? keys_again != durable_keys
-                                      : values_again != durable_values)) {
-              fail("chained recovery mutated the durable contents");
-            }
-          }
-          prev = again;
-        }
-      }
-
-      // Back to the pre-crash machine state so teardown and
-      // reclamation run on consistent memory.
-      shadow::uncrash();
-    }
-    shadow::reset();
-  }
-
-  report.total_ops += done.size();
-  holder.reset();
-  }  // ReclaimPause ends here
-  mem::EpochDomain::instance().quiesce();
-  mem::PopDomain::instance().quiesce();
-  mem::HpDomain::instance().quiesce();
+      });
+  const fuzz_detail::Tally t = driver.run();
+  report.crashes += t.crashes;
+  report.chain_crashes += static_cast<int>(driver.chain().size());
+  report.total_ops += t.total_ops;
+  report.recovery_us_total += t.recovery_us;
 }
 
 // Fuzzes one structure across plan.points crash points.
@@ -751,570 +949,85 @@ inline FuzzReport fuzz_structure(const AlgoEntry& algo,
 //   REPRO_SEED=<base_seed> ./crash_recovery
 //     --benchmark_filter='crash-fuzz/<structure>/'
 // — or the single iteration, fuzz_one(algo, plan, seed, crash_point,
-// ...), in a unit test.  The first write of a process truncates the
-// file; later failing structures in the same run append, so a
-// multi-structure regression keeps every reproducer.
+// ...), in a unit test.
 inline void write_reproducer(const FuzzReport& report,
                              const std::string& path) {
-  static bool truncated_once = false;
-  std::FILE* f = std::fopen(path.c_str(), truncated_once ? "a" : "w");
-  if (f == nullptr) return;
-  truncated_once = true;
+  std::string lines;
   for (const FuzzFailure& x : report.failures) {
-    std::fprintf(
-        f,
-        "{\"structure\":\"%s\",\"seed\":%llu,\"base_seed\":%llu,"
-        "\"crash_point\":%llu,\"iteration\":%d",
-        x.structure.c_str(), static_cast<unsigned long long>(x.seed),
-        static_cast<unsigned long long>(x.base_seed),
-        static_cast<unsigned long long>(x.crash_point), x.iteration);
+    std::string fields = fuzz_detail::replay_fields(x) + ",\"iteration\":" +
+                         std::to_string(x.iteration);
     if (!x.crash_chain.empty()) {
       // Extended (repeated-crash) format; absent for single-crash
       // failures so existing consumers keep parsing.
-      std::fprintf(f, ",\"crash_chain\":[");
+      fields += ",\"crash_chain\":[";
       for (std::size_t i = 0; i < x.crash_chain.size(); ++i) {
-        std::fprintf(f, "%s%llu", i == 0 ? "" : ",",
-                     static_cast<unsigned long long>(x.crash_chain[i]));
+        fields += (i == 0 ? "" : ",") + std::to_string(x.crash_chain[i]);
       }
-      std::fprintf(f, "]");
+      fields += "]";
     }
-    std::fprintf(f, ",\"what\":\"%s\"}\n", x.what.c_str());
+    lines += failure_jsonl(fields, x.what);
   }
-  std::fclose(f);
+  append_jsonl(path, lines);
 }
-
-// ---------------------------------------------------------------------
-// Concurrent crash-point fuzzing.
-//
-// One iteration spawns `threads` racing workers over one structure,
-// each recorded into its own history lane; the armed crash lands on
-// whichever thread issues the chosen persistence instruction, the
-// power-failed latch (pmem/crash.hpp) stops every other worker at its
-// next tracked store or persistence instruction, and operations on
-// pure-load paths are cut off by the recording adapters'
-// crash::check().  After the workers unwind, the durable image is
-// rewound and verified by the durable-linearizability checker: every
-// completed op must linearize with its observed response, each
-// thread's pending-at-crash op linearizes as `must` (with the
-// descriptor's response, inside the durable cut if effectful) iff its
-// recovery descriptor reports completed-with-response, else `may`,
-// and for structures with a snapshot surface the walked durable
-// contents must equal the cut prefix's state (buffered durable
-// linearizability — see linearize.hpp for why the cut, not the end).
-//
-// Unlike the single-threaded driver, a {seed, crash_point} pair does
-// not replay the interleaving bit-for-bit — the schedule is the
-// dimension being explored — so failures carry the *recorded history*
-// (JSONL), which re-checks deterministically: the same events always
-// produce the same verdict.  Iterations where the countdown outlives
-// the workload still run the checker as a plain concurrent
-// linearizability test (no durable constraint).
-// ---------------------------------------------------------------------
-
-struct ConcurrentCrashPlan {
-  int threads = 3;
-  int ops_per_thread = 10;  // threads * ops_per_thread must stay <= 128
-  std::uint64_t seed = 0;   // 0 → global_seed() (REPRO_SEED)
-  int points = 0;           // fuzz iterations per structure; 0 → off
-  // Horizon for the random crash-point draw; sized so most draws land
-  // inside the workload's persistence-instruction stream.
-  std::uint64_t max_events = 160;
-  pmem::shadow::CrashFidelity fidelity =
-      pmem::shadow::CrashFidelity::adversarial;
-  std::uint64_t checker_states = 4'000'000;  // DFS node budget
-  // single_crash (the PR 5 behaviour), thread_death, or
-  // stalled_thread; repeated_crash belongs to the single-threaded
-  // driver.
-  ScenarioKind scenario = ScenarioKind::single_crash;
-  // stalled_thread: horizon for the stall-point draw (the stalled
-  // worker parks at that persistence instruction, strictly before the
-  // crash point).  0 → max_events / 2.
-  std::uint64_t stall_horizon = 0;
-
-  std::uint64_t effective_seed() const {
-    return seed != 0 ? seed : global_seed();
-  }
-};
-
-// One confirmed violation.  The history replays deterministically
-// through the checker (tests/test_corpus.cpp shows how); {base_seed,
-// iteration} re-runs the same workload draws, though not the same
-// thread interleaving.
-struct ConcurrentFuzzFailure {
-  std::string structure;
-  std::uint64_t seed = 0;         // iteration seed
-  std::uint64_t base_seed = 0;    // the run's plan seed
-  std::uint64_t crash_point = 0;  // persistence-instruction index
-  int threads = 0;
-  int iteration = -1;
-  std::string what;
-  std::string history_jsonl;  // metadata line + recorded events
-};
-
-struct ConcurrentFuzzReport {
-  int points = 0;      // iterations executed
-  int crashes = 0;     // iterations where the crash actually fired
-  int violations = 0;  // checker/walk failures (0 == pass)
-  int undecided = 0;   // checker state-budget exhaustions (not failures)
-  std::uint64_t total_ops = 0;       // history ops across iterations
-  std::uint64_t checker_states = 0;  // DFS nodes across iterations
-  double recovery_us_total = 0;
-  std::vector<ConcurrentFuzzFailure> failures;  // first few
-};
 
 // Runs one concurrent fuzz iteration.  `crash_point` of 0 lets the
 // iteration's own PRNG draw it (as concurrent_fuzz_structure does).
+// Iterations where the countdown outlives the workload still run the
+// checker as a plain concurrent linearizability test.
 inline void concurrent_fuzz_one(const AlgoEntry& algo,
                                 const ConcurrentCrashPlan& plan,
                                 std::uint64_t iter_seed,
                                 std::uint64_t crash_point, int iteration,
                                 ConcurrentFuzzReport& report) {
-  namespace shadow = pmem::shadow;
-
   Rng rng(iter_seed);
   // Drawn unconditionally so an explicit crash_point replays the same
   // downstream prefill draws (same convention as fuzz_one).
   const std::uint64_t drawn = 1 + rng.below(plan.max_events);
   if (crash_point == 0) crash_point = drawn;
-
-  ++report.points;
-  {
-  mem::ReclaimPause pause;
-  auto holder = algo.make();
-  Structure* s = holder.get();
-  const bool is_set = algo.kind == Kind::set;
-  const bool is_queue = algo.kind == Kind::queue;
-  auto* set = is_set ? dynamic_cast<SetIface*>(s) : nullptr;
-  auto* queue = is_queue ? dynamic_cast<QueueIface*>(s) : nullptr;
-  auto* stack =
-      algo.kind == Kind::stack ? dynamic_cast<StackIface*>(s) : nullptr;
-  auto* ex = algo.kind == Kind::exchanger
-                 ? dynamic_cast<ExchangerIface*>(s)
-                 : nullptr;
-  const bool contents_checked = s->has_snapshot() &&
-                                (is_set || is_queue) &&
-                                !algo.has_trait("no-reclaim");
-
-  lin::Spec spec;
-  spec.kind = is_set      ? lin::Semantics::set
-              : is_queue  ? lin::Semantics::queue
-              : stack != nullptr ? lin::Semantics::stack
-                                 : lin::Semantics::exchanger;
-  spec.max_states = plan.checker_states;
-
-  // Prefill before shadow tracking starts: durable by construction.
-  constexpr std::int64_t kKeyRange = 24;
-  if (set != nullptr) {
-    for (std::int64_t k = 1; k <= kKeyRange; ++k) {
-      if (rng.below(2) == 0 && set->insert(k)) {
-        spec.initial_keys.push_back(k);
-      }
-    }
-  } else if (queue != nullptr) {
-    for (std::uint64_t v = 1; v <= 6; ++v) {
-      queue->enqueue(v);
-      spec.initial_values.push_back(v);
-    }
-  } else if (stack != nullptr) {
-    for (std::uint64_t v = 1; v <= 6; ++v) {
-      stack->push(v);
-      spec.initial_values.push_back(v);
-    }
-  }
-
+  fuzz_detail::Config cfg;
+  cfg.scenario = plan.scenario;
+  cfg.fidelity = plan.fidelity;
   // Clamp to the checker's 128-op mask: a misconfigured plan
   // (REPRO_CONC_FUZZ_THREADS cranked up) must shrink the per-thread
   // budget rather than silently turn every verdict into
   // budget_exhausted — an "undecided" gate that can't fail verifies
   // nothing.  The adversarial scenarios need a victim AND at least one
   // survivor, so they floor the thread count at 2.
-  const int nthreads = std::clamp(
-      plan.scenario == ScenarioKind::single_crash
-          ? plan.threads
-          : std::max(plan.threads, 2),
-      1, 64);
-  const int ops_per_thread =
-      std::clamp(plan.ops_per_thread, 1, 128 / nthreads);
-  HistoryRecorder rec(nthreads,
-                      static_cast<std::size_t>(ops_per_thread));
-
-  // Worker values are unique per iteration ((lane+1)*100 + op, all
-  // above the prefill range) so FIFO/LIFO order violations — and the
-  // zero/stale payloads a dropped pre_publish leaves durable — cannot
-  // alias a legitimate value.
-  auto value_for = [](int lane, int op) {
-    return static_cast<std::uint64_t>((lane + 1) * 100 + op);
-  };
-
-  struct alignas(64) WorkerState {
-    int slot = -1;
-    std::uint64_t seq_before = 0;  // board seq after the last response
-    bool unwound = false;          // left via CrashUnwind
-  };
-  std::vector<WorkerState> ws(static_cast<std::size_t>(nthreads));
-
-  bool crashed = false;
-  bool parked = false;  // stalled_thread: a worker is parked on the gate
-  {
-    pmem::ModeGuard mode(pmem::Mode::shadow);
-    shadow::reset();
-    if (plan.scenario == ScenarioKind::thread_death) {
-      pmem::crash::set_thread_latch(true);
-    }
-    if (plan.scenario == ScenarioKind::stalled_thread) {
-      // Stall strictly before the crash so the parked worker spans the
-      // failure: both countdowns drain on the same instruction stream,
-      // and the parked thread stops consuming instructions, so the
-      // crash lands on a survivor.
-      const std::uint64_t horizon =
-          plan.stall_horizon != 0
-              ? plan.stall_horizon
-              : std::max<std::uint64_t>(1, plan.max_events / 2);
-      const std::uint64_t stall_point = 1 + rng.below(horizon);
-      if (crash_point <= stall_point) {
-        crash_point = stall_point + 1 + (crash_point % 8);
-      }
-      pmem::crash::arm_stall(stall_point);
-    }
-    pmem::crash::arm(crash_point);
-    std::atomic<int> workers_done{0};
-    std::vector<std::thread> workers;
-    {
-      workers.reserve(static_cast<std::size_t>(nthreads));
-      for (int t = 0; t < nthreads; ++t) {
-        workers.emplace_back([&, t] {
-          WorkerState& w = ws[static_cast<std::size_t>(t)];
-          w.slot = ds::thread_slot();
-          // Own-slot descriptor reads are race-free: only this thread
-          // writes it.
-          w.seq_before = s->recover(w.slot).seq;
-          Rng wrng(mix_seed(iter_seed, 0x777u + static_cast<std::uint64_t>(t)));
-          try {
-            if (set != nullptr) {
-              RecordedSet r(*set, rec, t);
-              for (int o = 0; o < ops_per_thread; ++o) {
-                if (pmem::crash::crashed()) break;
-                const auto key = static_cast<std::int64_t>(
-                    1 + wrng.below(static_cast<std::uint64_t>(kKeyRange)));
-                const std::uint64_t dice = wrng.below(10);
-                if (dice < 4) {
-                  r.insert(key);
-                } else if (dice < 8) {
-                  r.erase(key);
-                } else {
-                  r.find(key);
-                }
-                w.seq_before = s->recover(w.slot).seq;
-              }
-            } else if (queue != nullptr) {
-              RecordedQueue r(*queue, rec, t);
-              for (int o = 0; o < ops_per_thread; ++o) {
-                if (pmem::crash::crashed()) break;
-                if (wrng.below(2) == 0) {
-                  r.enqueue(value_for(t, o));
-                } else {
-                  std::uint64_t out = 0;
-                  r.dequeue(out);
-                }
-                w.seq_before = s->recover(w.slot).seq;
-              }
-            } else if (stack != nullptr) {
-              RecordedStack r(*stack, rec, t);
-              for (int o = 0; o < ops_per_thread; ++o) {
-                if (pmem::crash::crashed()) break;
-                if (wrng.below(2) == 0) {
-                  r.push(value_for(t, o));
-                } else {
-                  std::uint64_t out = 0;
-                  r.pop(out);
-                }
-                w.seq_before = s->recover(w.slot).seq;
-              }
-            } else {
-              RecordedExchanger r(*ex, rec, t);
-              for (int o = 0; o < ops_per_thread; ++o) {
-                if (pmem::crash::crashed()) break;
-                std::uint64_t out = 0;
-                r.exchange(value_for(t, o), 24, out);
-                w.seq_before = s->recover(w.slot).seq;
-              }
-            }
-          } catch (const pmem::crash::CrashUnwind&) {
-            // The lane's last invoke stays dangling: pending at crash
-            // (or at this thread's own death in latch mode).
-            w.unwound = true;
-          }
-          workers_done.fetch_add(1, std::memory_order_release);
-        });
-      }
-    }
-    // Quiescence: every worker finished — or, in the stalled scenario,
-    // everyone except the parked worker.  The parked thread sits inside
-    // on_instruction's gate spin, before the instruction's effect,
-    // holding no shard locks — so crash rewind and verification can run
-    // around it; its join is deferred until after release.
-    if (plan.scenario == ScenarioKind::stalled_thread) {
-      for (;;) {
-        const int finished =
-            workers_done.load(std::memory_order_acquire);
-        if (finished == nthreads) break;
-        if (finished == nthreads - 1 && pmem::crash::stall_hit()) {
-          parked = true;
-          break;
-        }
-        std::this_thread::yield();
-      }
-    }
-    if (!parked) {
-      for (std::thread& th : workers) th.join();
-    }
-    crashed = pmem::crash::crashed();
-    pmem::crash::disarm();
-
-    std::vector<lin::Op> ops = lin::ops_from_history(rec);
-
-    auto fail = [&](const std::string& what) {
-      ++report.violations;
-      if (report.failures.size() < 4) {
-        ConcurrentFuzzFailure f;
-        f.structure = algo.name;
-        f.seed = iter_seed;
-        f.base_seed = plan.effective_seed();
-        f.crash_point = crash_point;
-        f.threads = nthreads;
-        f.iteration = iteration;
-        f.what = what;
-        // Built as a string, not a fixed buffer: `what` carries the
-        // checker verdict, the durable image, and per-lane descriptor
-        // diagnostics — truncating the artifact's framing line would
-        // lose exactly the fields it exists to carry.
-        std::string meta = "{\"structure\":\"" + algo.name +
-                           "\",\"seed\":" + std::to_string(iter_seed) +
-                           ",\"base_seed\":" +
-                           std::to_string(plan.effective_seed()) +
-                           ",\"crash_point\":" +
-                           std::to_string(crash_point) +
-                           ",\"threads\":" + std::to_string(nthreads) +
-                           ",\"iteration\":" + std::to_string(iteration) +
-                           ",\"what\":\"" + what + "\"}\n";
-        f.history_jsonl = meta + rec.to_jsonl();
-        report.failures.push_back(std::move(f));
-      }
-    };
-
-    bool walk_failed = false;
-    std::string crash_diag;
-    if (crashed) {
-      ++report.crashes;
-      rec.mark_crash();
-      // Power failure: rewind to the durable image (per-line coin as
-      // in the single-threaded driver).
-      Rng coin_rng(mix_seed(iter_seed, crash_point));
-      shadow::crash(plan.fidelity,
-                    [&coin_rng] { return coin_rng.below(2) == 0; });
-
-      const auto t0 = std::chrono::steady_clock::now();
-      // Upgrade pending verdicts from the durable descriptors: a
-      // descriptor that durably reports the in-flight op (seq_before+1)
-      // completed-with-response makes it a `must` with that response —
-      // the paper's detectability contract.  Anything else stays `may`.
-      for (int t = 0; t < nthreads; ++t) {
-        lin::Op* pend = nullptr;
-        for (lin::Op& op : ops) {
-          if (op.lane == t && op.response_ts == lin::kNever) pend = &op;
-        }
-        if (pend == nullptr) continue;
-        const WorkerState& w = ws[static_cast<std::size_t>(t)];
-        if (w.slot < 0) continue;
-        const ds::Recovered d = s->recover(w.slot);
-        if (d.seq == w.seq_before + 1 && d.completed &&
-            d.kind == pend->kind && d.key == pend->input) {
-          pend->pending = lin::Pending::must;
-          pend->ok = d.ok;
-          pend->result = d.result;
-        }
-        char diag[128];
-        std::snprintf(diag, sizeof(diag),
-                      "; lane %d pending %s(%lld) verdict=%s ok=%d "
-                      "result=%llu",
-                      t, op_kind_name(pend->kind),
-                      static_cast<long long>(pend->input),
-                      pend->pending == lin::Pending::must ? "must"
-                                                          : "may",
-                      pend->ok ? 1 : 0,
-                      static_cast<unsigned long long>(pend->result));
-        crash_diag += diag;
-      }
-      report.recovery_us_total +=
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - t0)
-              .count();
-
-      // Durable contents, walked while the structure physically holds
-      // the durable image.
-      if (contents_checked) {
-        const bool walk_ok = is_set
-                                 ? s->snapshot_keys(spec.durable_keys)
-                                 : s->snapshot_values(spec.durable_values);
-        if (walk_ok) {
-          // Stalled-thread + set: the parked worker can hold an
-          // unfenced incoming link across the whole window, so later
-          // completed inserts build durably on top of it and the
-          // durable image need not be a prefix of any linearization —
-          // the same cross-thread hostage window that already exempts
-          // sets from the must-inside-the-cut rule (linearize.hpp),
-          // held open for the stall's full duration.  The walk
-          // integrity check and the linearization itself still run;
-          // only the prefix-cut constraint is waived.  Queues/stacks
-          // keep it: persist-link-before-publish closes the window.
-          spec.check_durable =
-              !(plan.scenario == ScenarioKind::stalled_thread && is_set);
-        } else {
-          walk_failed = true;
-          fail("durable image walk failed: link into never-persisted "
-               "memory or a cycle");
-        }
-      }
-    }
-
-    // Per-thread death: the machine never lost power — the latch-mode
-    // countdown killed exactly one worker mid-op while the survivors
-    // raced to completion on the live structure.  A fresh thread
-    // adopts the dead lane's slot, runs recover() against it, and the
-    // adopted verdict feeds the checker: descriptor completed-with-
-    // response at seq_before+1 makes the dead lane's pending op a
-    // `must` with that response.  No durable cut — the volatile state
-    // is the ground truth here.
-    if (plan.scenario == ScenarioKind::thread_death) {
-      int dead_lane = -1;
-      for (int t = 0; t < nthreads; ++t) {
-        if (ws[static_cast<std::size_t>(t)].unwound) dead_lane = t;
-      }
-      if (dead_lane >= 0) {
-        ++report.crashes;  // the adversary fired
-        const WorkerState& w = ws[static_cast<std::size_t>(dead_lane)];
-        // The dead worker's thread-exit cleanup already cleared its
-        // epoch pin; reset_slot_pin makes the harness's "this lane is
-        // dead" claim explicit before the slot is adopted.
-        mem::EpochDomain::instance().reset_slot_pin(w.slot);
-        mem::PopDomain::instance().reset_slot_pin(w.slot);
-        ds::Recovered adopted;
-        {
-          std::thread adopter([&] { adopted = s->recover(w.slot); });
-          adopter.join();
-        }
-        lin::Op* pend = nullptr;
-        for (lin::Op& op : ops) {
-          if (op.lane == dead_lane && op.response_ts == lin::kNever) {
-            pend = &op;
-          }
-        }
-        if (pend != nullptr) {
-          if (adopted.seq == w.seq_before + 1 && adopted.completed &&
-              adopted.kind == pend->kind && adopted.key == pend->input) {
-            pend->pending = lin::Pending::must;
-            pend->ok = adopted.ok;
-            pend->result = adopted.result;
-          }
-          char diag[128];
-          std::snprintf(diag, sizeof(diag),
-                        "; dead lane %d pending %s(%lld) verdict=%s "
-                        "ok=%d result=%llu",
-                        dead_lane, op_kind_name(pend->kind),
-                        static_cast<long long>(pend->input),
-                        pend->pending == lin::Pending::must ? "must"
-                                                            : "may",
-                        pend->ok ? 1 : 0,
-                        static_cast<unsigned long long>(pend->result));
-          crash_diag += diag;
-        }
-      }
-    }
-
-    if (!walk_failed) {
-      const lin::Result res = lin::check(ops, spec);
-      report.checker_states += res.states;
-      if (res.verdict == lin::Verdict::violation) {
-        // The walked durable image is part of the verdict's input;
-        // carry it in the diagnostic so a dumped failure is
-        // self-contained.
-        std::string what = res.what;
-        if (spec.check_durable) {
-          what += "; durable image = [";
-          bool first = true;
-          if (is_set) {
-            for (std::int64_t k : spec.durable_keys) {
-              what += (first ? "" : " ") + std::to_string(k);
-              first = false;
-            }
-          } else {
-            for (std::uint64_t v : spec.durable_values) {
-              what += (first ? "" : " ") + std::to_string(v);
-              first = false;
-            }
-          }
-          what += "]";
-        }
-        fail(what + crash_diag);
-      } else if (res.verdict == lin::Verdict::budget_exhausted) {
-        ++report.undecided;
-      }
-    }
-    report.total_ops += ops.size();
-
-    if (crashed) shadow::uncrash();
-
-    if (parked) {
-      // Power is back (uncrash restored the volatile image) and the
-      // plan is disarmed: release the parked worker.  It finishes the
-      // op it was parked inside — its late stores land on the restored
-      // state — and runs the rest of its budget as ordinary ops.
-      pmem::crash::release_stall();
-      for (std::thread& th : workers) th.join();
-      pmem::crash::disarm_stall();
-
-      std::vector<lin::Op> ops_post = lin::ops_from_history(rec);
-      // The resumed response must agree with any `must` verdict the
-      // durable descriptor issued while the thread was parked: a
-      // committed-at-crash op cannot come back claiming a different
-      // outcome.
-      for (const lin::Op& before : ops) {
-        if (before.response_ts != lin::kNever) continue;
-        for (const lin::Op& after : ops_post) {
-          if (after.lane == before.lane && after.id == before.id &&
-              after.response_ts != lin::kNever &&
-              before.pending == lin::Pending::must &&
-              (after.ok != before.ok ||
-               after.result != before.result)) {
-            fail("stalled thread resumed with a response disagreeing "
-                 "with its durable must-verdict");
-          }
-        }
-      }
-      // And the full post-resume history must still linearize (no
-      // durable cut: the machine is back on) — the staller's late
-      // stores must not have corrupted the recovered state.
-      lin::Spec post_spec;
-      post_spec.kind = spec.kind;
-      post_spec.initial_keys = spec.initial_keys;
-      post_spec.initial_values = spec.initial_values;
-      post_spec.max_states = plan.checker_states;
-      const lin::Result post_res = lin::check(ops_post, post_spec);
-      report.checker_states += post_res.states;
-      if (post_res.verdict == lin::Verdict::violation) {
-        fail("post-resume history fails to linearize: " + post_res.what +
-             crash_diag);
-      } else if (post_res.verdict == lin::Verdict::budget_exhausted) {
-        ++report.undecided;
-      }
-    }
-    shadow::reset();
-  }
-  holder.reset();
-  }  // ReclaimPause ends here
-  mem::EpochDomain::instance().quiesce();
-  mem::PopDomain::instance().quiesce();
-  mem::HpDomain::instance().quiesce();
+  cfg.lanes = std::clamp(plan.scenario == ScenarioKind::single_crash
+                             ? plan.threads
+                             : std::max(plan.threads, 2),
+                         1, 64);
+  cfg.ops_per_lane = std::clamp(plan.ops_per_thread, 1, 128 / cfg.lanes);
+  cfg.stall_horizon = plan.stall_horizon != 0
+                          ? plan.stall_horizon
+                          : std::max<std::uint64_t>(1, plan.max_events / 2);
+  cfg.checker_states = plan.checker_states;
+  const int threads = cfg.lanes;
+  ++report.points;
+  const fuzz_detail::Tally t =
+      fuzz_detail::Driver(
+          algo, std::move(cfg), iter_seed, crash_point, rng,
+          [&](const fuzz_detail::Driver& d, const std::string& what) {
+            ++report.violations;
+            if (report.failures.size() >= 4) return;
+            ConcurrentFuzzFailure f{algo.name, iter_seed,
+                                    plan.effective_seed(), d.crash_point(),
+                                    threads, iteration, what, ""};
+            f.history_jsonl =
+                failure_jsonl(fuzz_detail::replay_fields(f) +
+                                  ",\"threads\":" + std::to_string(threads) +
+                                  ",\"iteration\":" +
+                                  std::to_string(iteration),
+                              what) +
+                d.history().to_jsonl();
+            report.failures.push_back(std::move(f));
+          })
+          .run();
+  report.crashes += t.crashes;
+  report.total_ops += t.total_ops;
+  report.recovery_us_total += t.recovery_us;
+  report.checker_states += t.checker_states;
+  report.undecided += t.undecided;
 }
 
 // Fuzzes one structure across plan.points concurrent crash points.
@@ -1334,18 +1047,14 @@ inline ConcurrentFuzzReport concurrent_fuzz_structure(
 }
 
 // Appends the failing histories (metadata line + JSONL events each) —
-// the concurrent-fuzz CI artifact.  Same truncate-once-per-process
-// convention as write_reproducer.
+// the concurrent-fuzz CI artifact.
 inline void write_history_dump(const ConcurrentFuzzReport& report,
                                const std::string& path) {
-  static bool truncated_once = false;
-  std::FILE* f = std::fopen(path.c_str(), truncated_once ? "a" : "w");
-  if (f == nullptr) return;
-  truncated_once = true;
+  std::string lines;
   for (const ConcurrentFuzzFailure& x : report.failures) {
-    std::fwrite(x.history_jsonl.data(), 1, x.history_jsonl.size(), f);
+    lines += x.history_jsonl;
   }
-  std::fclose(f);
+  append_jsonl(path, lines);
 }
 
 }  // namespace repro::harness

@@ -8,23 +8,15 @@
 // a deterministic persistence-instruction boundary
 // (pmem::crash::arm_kill, replayable from a {seed, kill_point} pair) or
 // by a parent-timed signal — and a FRESH verifier process then maps the
-// same heap file and asserts the paper's detectability contract against
-// what the dead process durably left behind:
-//
-//   K1  Each worker lane's durable descriptor names either its last
-//       journaled operation or the one in flight at the kill (seq is
-//       J or J+1) — nothing else.
-//   K2  A descriptor naming a journaled (completed) operation carries
-//       exactly that operation's response.
-//   K3  An in-flight operation reported completed must carry the
-//       response the durable contents imply — completed-with-response
-//       XOR not-applied, never "done" with a stale/lost response.
-//   K4  The durable walk matches the journaled model: per-lane key
-//       ranges for lists (each lane's range must equal its journal
-//       replay, ± its single in-flight effect), a global value audit
-//       for queues (every durable value was enqueued and not yet
-//       dequeued; losses only where an in-flight dequeue can account
-//       for them; exact FIFO order at one lane).
+// same heap file and asserts the paper's detectability contract DC1–DC4
+// (harness/oracle.hpp) against what the dead process durably left
+// behind.  Each worker lane's journal is its completed-op record, so
+// the per-lane oracle (judge_lane) checks its descriptor, and the
+// contents oracle (judge_contents) checks each lane's key range for
+// lists and the whole FIFO at one lane for queues.  Multi-lane queues
+// add a global value audit: every durable value was enqueued and not
+// yet dequeued, and losses only where an in-flight dequeue can account
+// for them.
 //
 // What a SIGKILL does and does not test: the page cache survives the
 // signal, so every store the child executed — fenced or not — is in
@@ -40,7 +32,10 @@
 // with a single write(2) each (durable-in-page-cache at the kill, and
 // the "flush after every row" contract the sinks satellite demands), a
 // per-lane hello line before the lane's first operation, and the
-// verifier tolerates a torn final line.  Each trial uses a private
+// verifier tolerates a torn final line.  Because every executed store
+// survives, each journaled op is one the descriptor must reflect, so
+// the oracle admits only descriptor seq J or J+1 against a journal of
+// J ops.  Each trial uses a private
 // heap file (REPRO_HEAP_PATH or /tmp/repro_heap.<pid>.pmem) that the
 // driver deletes or reuses — nothing accumulates.
 #pragma once
@@ -50,11 +45,11 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <fcntl.h>
@@ -67,7 +62,10 @@
 #include "repro/ds/hm_hashtable.hpp"
 #include "repro/ds/isb_list.hpp"
 #include "repro/ds/isb_queue.hpp"
+#include "repro/harness/history.hpp"
+#include "repro/harness/oracle.hpp"
 #include "repro/harness/runner.hpp"
+#include "repro/harness/sinks.hpp"
 #include "repro/pmem/crash.hpp"
 #include "repro/pmem/mmap_heap.hpp"
 
@@ -80,13 +78,9 @@ namespace repro::harness::kill {
 enum class Family { isb_list, isb_queue, dt_list, hm_map };
 
 inline const char* family_name(Family f) {
-  switch (f) {
-    case Family::isb_list: return "isb-list";
-    case Family::isb_queue: return "isb-queue";
-    case Family::dt_list: return "dt-list";
-    case Family::hm_map: return "hm-map";
-  }
-  return "?";
+  static const char* const kNames[] = {"isb-list", "isb-queue", "dt-list",
+                                       "hm-map"};
+  return kNames[static_cast<int>(f)];
 }
 
 inline const std::vector<Family>& all_families() {
@@ -94,6 +88,22 @@ inline const std::vector<Family>& all_families() {
       Family::isb_list, Family::isb_queue, Family::dt_list,
       Family::hm_map};
   return fams;
+}
+
+// Family dispatch: calls fn with a null pointer of the family's
+// structure type.  The hash map drives like the lists — the identical
+// insert/erase/find + recover surface, with each lane's key span
+// scattered across buckets by the map's hash — and its whole bucket
+// directory is carved from the arena at construction, so a fresh
+// verifier walks it through the same fixed-base pointers.
+template <typename Fn>
+decltype(auto) visit_family(Family f, Fn&& fn) {
+  switch (f) {
+    case Family::isb_queue: return fn(static_cast<ds::IsbQueueT<>*>(nullptr));
+    case Family::dt_list: return fn(static_cast<ds::DtListT<>*>(nullptr));
+    case Family::hm_map: return fn(static_cast<ds::IsbHashMapT<>*>(nullptr));
+    default: return fn(static_cast<ds::IsbListT<>*>(nullptr));
+  }
 }
 
 // One trial's full parameterisation; {family, seed, threads,
@@ -197,65 +207,59 @@ struct JournalWriter {
     char buf[192];
     va_list ap;
     va_start(ap, fmt);
-    int n = std::vsnprintf(buf, sizeof(buf) - 1, fmt, ap);
+    const int n = std::vsnprintf(buf, sizeof(buf) - 1, fmt, ap);
     va_end(ap);
-    if (n < 0) return;
-    if (n > static_cast<int>(sizeof(buf) - 2)) {
-      n = static_cast<int>(sizeof(buf) - 2);
-    }
+    // A line that does not fit would not parse either; journal lines
+    // are far shorter than the buffer.
+    if (n < 0 || n > static_cast<int>(sizeof(buf)) - 2) return;
     buf[n] = '\n';
     [[maybe_unused]] ssize_t w = ::write(fd, buf, static_cast<std::size_t>(n) + 1);
   }
 };
 
-struct OpLine {
-  int lane = 0;
-  std::uint64_t seq = 0;
-  char kind[16] = {0};
-  std::int64_t key = 0;
-  int ok = 0;
-  std::uint64_t result = 0;
-};
+// A whole file; empty when it does not exist.
+inline std::string slurp(const std::string& path) {
+  std::string data;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
+    std::fclose(f);
+  }
+  return data;
+}
 
 struct Journal {
-  std::map<int, int> lane_slot;               // hello lines
-  std::map<int, std::vector<OpLine>> ops;     // per lane, in order
+  std::map<int, int> lane_slot;                        // hello lines
+  std::map<int, std::vector<oracle::LaneOp>> ops;      // per lane, in order
 
   // Tolerates a missing file (killed before the journal opened) and a
   // torn final line (killed mid-write).
   void parse(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return;
-    std::string data;
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      data.append(buf, n);
-    }
-    std::fclose(f);
+    const std::string data = slurp(path);
     std::size_t pos = 0;
     while (true) {
       const std::size_t nl = data.find('\n', pos);
       if (nl == std::string::npos) break;  // torn tail dropped
       const std::string line = data.substr(pos, nl - pos);
       pos = nl + 1;
-      OpLine op;
+      int lane = 0, ok = 0, slot = 0;
       unsigned long long seq = 0, result = 0;
       long long key = 0;
+      char kind[16] = {0};
       if (std::sscanf(line.c_str(),
                       "{\"lane\":%d,\"seq\":%llu,\"kind\":\"%15[a-z]\","
                       "\"key\":%lld,\"ok\":%d,\"result\":%llu}",
-                      &op.lane, &seq, op.kind, &key, &op.ok,
-                      &result) == 6) {
-        op.seq = seq;
+                      &lane, &seq, kind, &key, &ok, &result) == 6) {
+        oracle::LaneOp op;
+        op.board_seq = seq;
+        op.kind = op_kind_from_name(kind);
         op.key = key;
+        op.ok = ok != 0;
         op.result = result;
-        ops[op.lane].push_back(op);
-        continue;
-      }
-      int lane = 0, slot = 0;
-      if (std::sscanf(line.c_str(), "{\"lane\":%d,\"slot\":%d}", &lane,
-                      &slot) == 2) {
+        ops[lane].push_back(op);
+      } else if (std::sscanf(line.c_str(), "{\"lane\":%d,\"slot\":%d}",
+                             &lane, &slot) == 2) {
         lane_slot[lane] = slot;
       }
     }
@@ -281,7 +285,42 @@ struct StartBarrier {
 };
 
 template <typename S>
-void run_list_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
+inline constexpr bool kIsQueue = requires(S& s) { s.dequeue(); };
+
+// One lane's operation: sets draw a key in the lane's own span and a
+// 40/40/20 insert/erase/find dice; queues enqueue lane-tagged values
+// 60% of the time and dequeue otherwise.
+template <typename S>
+oracle::LaneOp lane_op(S* s, Rng& rng, int lane, int& enqueued) {
+  oracle::LaneOp op;
+  if constexpr (kIsQueue<S>) {
+    if (rng.below(10) < 6) {
+      const std::uint64_t v = lane_value(lane, enqueued++);
+      s->enqueue(v);
+      op = {0, ds::OpKind::enqueue, static_cast<std::int64_t>(v), true, v};
+    } else {
+      const ds::DequeueResult r = s->dequeue();
+      op = {0, ds::OpKind::dequeue, 0, r.ok, r.value};
+    }
+  } else {
+    op.key = lane_key_base(lane) + 1 +
+             static_cast<std::int64_t>(
+                 rng.below(static_cast<std::uint64_t>(kLaneKeySpan)));
+    const std::uint64_t dice = rng.below(10);
+    op.kind = dice < 4   ? ds::OpKind::insert
+              : dice < 8 ? ds::OpKind::erase
+                         : ds::OpKind::find;
+    op.ok = op.kind == ds::OpKind::insert  ? s->insert(op.key)
+            : op.kind == ds::OpKind::erase ? s->erase(op.key)
+                                           : s->find(op.key);
+    op.result = op.ok ? 1 : 0;
+  }
+  return op;
+}
+
+// Runs the lanes: hello, start barrier, then the journaled ops.
+template <typename S>
+void run_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
   std::vector<std::thread> lanes;
   lanes.reserve(static_cast<std::size_t>(plan.threads));
   StartBarrier barrier;
@@ -291,66 +330,15 @@ void run_list_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
       j.line("{\"lane\":%d,\"slot\":%d}", t, slot);
       barrier.arrive_and_wait(plan.threads);
       Rng rng(mix_seed(plan.seed, static_cast<std::uint64_t>(t)));
+      int enqueued = 0;
       for (int o = 0; o < plan.ops_budget; ++o) {
-        const std::int64_t key =
-            lane_key_base(t) + 1 +
-            static_cast<std::int64_t>(rng.below(
-                static_cast<std::uint64_t>(kLaneKeySpan)));
-        const std::uint64_t dice = rng.below(10);
-        const char* kind;
-        bool ok;
-        if (dice < 4) {
-          kind = "insert";
-          ok = s->insert(key);
-        } else if (dice < 8) {
-          kind = "erase";
-          ok = s->erase(key);
-        } else {
-          kind = "find";
-          ok = s->find(key);
-        }
+        const oracle::LaneOp op = lane_op(s, rng, t, enqueued);
         const std::uint64_t seq = s->recover(slot).seq;
         j.line("{\"lane\":%d,\"seq\":%llu,\"kind\":\"%s\",\"key\":%lld,"
                "\"ok\":%d,\"result\":%llu}",
-               t, static_cast<unsigned long long>(seq), kind,
-               static_cast<long long>(key), ok ? 1 : 0,
-               static_cast<unsigned long long>(ok ? 1 : 0));
-      }
-    });
-  }
-  for (std::thread& th : lanes) th.join();
-}
-
-template <typename S>
-void run_queue_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
-  std::vector<std::thread> lanes;
-  lanes.reserve(static_cast<std::size_t>(plan.threads));
-  StartBarrier barrier;
-  for (int t = 0; t < plan.threads; ++t) {
-    lanes.emplace_back([&, t] {
-      const int slot = ds::thread_slot();
-      j.line("{\"lane\":%d,\"slot\":%d}", t, slot);
-      barrier.arrive_and_wait(plan.threads);
-      Rng rng(mix_seed(plan.seed, static_cast<std::uint64_t>(t)));
-      int enq = 0;
-      for (int o = 0; o < plan.ops_budget; ++o) {
-        if (rng.below(10) < 6) {
-          const std::uint64_t v = lane_value(t, enq++);
-          s->enqueue(v);
-          const std::uint64_t seq = s->recover(slot).seq;
-          j.line("{\"lane\":%d,\"seq\":%llu,\"kind\":\"enqueue\","
-                 "\"key\":%lld,\"ok\":1,\"result\":%llu}",
-                 t, static_cast<unsigned long long>(seq),
-                 static_cast<long long>(v),
-                 static_cast<unsigned long long>(v));
-        } else {
-          const ds::DequeueResult r = s->dequeue();
-          const std::uint64_t seq = s->recover(slot).seq;
-          j.line("{\"lane\":%d,\"seq\":%llu,\"kind\":\"dequeue\","
-                 "\"key\":0,\"ok\":%d,\"result\":%llu}",
-                 t, static_cast<unsigned long long>(seq), r.ok ? 1 : 0,
-                 static_cast<unsigned long long>(r.value));
-        }
+               t, static_cast<unsigned long long>(seq),
+               op_kind_name(op.kind), static_cast<long long>(op.key),
+               op.ok ? 1 : 0, static_cast<unsigned long long>(op.result));
       }
     });
   }
@@ -366,55 +354,25 @@ void run_queue_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
       pmem::MmapHeap::attach(plan.heap_path, plan.heap_bytes);
   if (heap == nullptr) ::_exit(120);
   pmem::set_mode(pmem::Mode::mmap);
-  JournalWriter j;
-  void* root = nullptr;
-  switch (plan.family) {
-    case Family::isb_list:
-      root = heap->root<ds::IsbListT<>>(kRootName);
-      break;
-    case Family::isb_queue:
-      root = heap->root<ds::IsbQueueT<>>(kRootName);
-      break;
-    case Family::dt_list:
-      root = heap->root<ds::DtListT<>>(kRootName);
-      break;
-    case Family::hm_map:
-      // The hash map's whole bucket directory (blocks + sentinels) is
-      // carved from the arena during this construction, so the fresh
-      // verifier process walks it through the same fixed-base pointers.
-      root = heap->root<ds::IsbHashMapT<>>(kRootName);
-      break;
-  }
-  if (root == nullptr || !j.open_trunc(plan.journal_path())) {
-    ::_exit(120);
-  }
-  // Setup is durable; tell the parent it may start the kill timer.
-  if (notify_fd >= 0) {
-    const char ready = 'r';
-    [[maybe_unused]] ssize_t w = ::write(notify_fd, &ready, 1);
-    ::close(notify_fd);
-  }
-  // Armed AFTER setup: heap bookkeeping persists through the raw
-  // (uncounted) path, so instruction n is the n-th *algorithm*
-  // persistence instruction — the deterministic replay anchor.
-  if (plan.kill_point > 0) pmem::crash::arm_kill(plan.kill_point);
-  switch (plan.family) {
-    case Family::isb_list:
-      run_list_lanes(plan, static_cast<ds::IsbListT<>*>(root), j);
-      break;
-    case Family::isb_queue:
-      run_queue_lanes(plan, static_cast<ds::IsbQueueT<>*>(root), j);
-      break;
-    case Family::dt_list:
-      run_list_lanes(plan, static_cast<ds::DtListT<>*>(root), j);
-      break;
-    case Family::hm_map:
-      // Same lane driver as the lists: the map exposes the identical
-      // insert/erase/find + recover surface, and the per-lane key
-      // spans scatter across buckets via the map's hash.
-      run_list_lanes(plan, static_cast<ds::IsbHashMapT<>*>(root), j);
-      break;
-  }
+  visit_family(plan.family, [&](auto* tag) {
+    using S = std::remove_pointer_t<decltype(tag)>;
+    S* root = heap->root<S>(kRootName);
+    JournalWriter j;
+    if (root == nullptr || !j.open_trunc(plan.journal_path())) {
+      ::_exit(120);
+    }
+    // Setup is durable; tell the parent it may start the kill timer.
+    if (notify_fd >= 0) {
+      const char ready = 'r';
+      [[maybe_unused]] ssize_t w = ::write(notify_fd, &ready, 1);
+      ::close(notify_fd);
+    }
+    // Armed AFTER setup: heap bookkeeping persists through the raw
+    // (uncounted) path, so instruction n is the n-th *algorithm*
+    // persistence instruction — the deterministic replay anchor.
+    if (plan.kill_point > 0) pmem::crash::arm_kill(plan.kill_point);
+    run_lanes(plan, root, j);
+  });
   ::_exit(0);
 }
 
@@ -423,266 +381,155 @@ void run_queue_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
 // ------------------------------------------------------------------
 
 template <typename S>
-int verify_list(S* s, const Journal& j, std::string& detail) {
+int verify(S* s, const Journal& j, int threads, std::string& detail) {
+  constexpr bool kQueue = kIsQueue<S>;
   int violations = 0;
   auto fail = [&](const std::string& w) {
     ++violations;
     if (detail.empty()) detail = w;
   };
 
-  std::vector<std::int64_t> walked;
-  if (!s->snapshot_keys(walked)) {
+  std::vector<std::int64_t> keys;
+  std::vector<std::uint64_t> durable;
+  bool walked;
+  if constexpr (kQueue) {
+    walked = s->snapshot_values(durable);
+  } else {
+    walked = s->snapshot_keys(keys);
+  }
+  if (!walked) {
     fail("durable walk failed: link into unowned memory or a cycle");
     return violations;
   }
-  std::set<std::int64_t> durable(walked.begin(), walked.end());
+  const std::set<std::uint64_t> durable_set(durable.begin(), durable.end());
 
-  std::set<std::int64_t> attributed;
+  // Lanes interact through a queue (one lane dequeues another's
+  // values), so judgement is two-pass: first every lane's journal
+  // facts and descriptor verdict — an in-flight dequeue may return a
+  // value whose enqueue is in flight on a lane not yet visited — then
+  // each lane against the complete picture.
+  struct LaneView {
+    int lane;
+    const std::vector<oracle::LaneOp>* ops;
+    oracle::LaneVerdict v;
+  };
+  static const std::vector<oracle::LaneOp> kNone;
+  std::vector<LaneView> lanes;
+  std::set<std::uint64_t> enq_done, deq_done;
+  std::set<std::uint64_t> inflight_enq;  // pending or committed
   for (const auto& [lane, slot] : j.lane_slot) {
     const auto it = j.ops.find(lane);
-    static const std::vector<OpLine> kNone;
-    const std::vector<OpLine>& ops =
+    const std::vector<oracle::LaneOp>& ops =
         it != j.ops.end() ? it->second : kNone;
-
     // Journal well-formedness: each lane's seqs are 1..J contiguous.
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].seq != i + 1) {
+      if (ops[i].board_seq != i + 1) {
         fail("journal gap in lane " + std::to_string(lane));
         return violations;
       }
+      if (ops[i].kind == ds::OpKind::enqueue) {
+        enq_done.insert(ops[i].result);
+      } else if (kQueue && ops[i].ok &&
+                 !deq_done.insert(ops[i].result).second) {
+        fail("value " + std::to_string(ops[i].result) +
+             " journaled as dequeued twice");
+      }
     }
-    const std::uint64_t J = ops.size();
+    LaneView lv{lane, &ops,
+                oracle::judge_lane(ds::Recovered{}, ops, s->recover(slot),
+                                   oracle::InFlight::unknown)};
+    if (lv.v.in_flight() && lv.v.desc.kind == ds::OpKind::enqueue) {
+      inflight_enq.insert(static_cast<std::uint64_t>(lv.v.desc.key));
+    }
+    lanes.push_back(std::move(lv));
+  }
 
-    // The lane's journaled model, and its durable-contents slice.
-    std::set<std::int64_t> model;
-    for (const OpLine& op : ops) {
-      if (op.ok == 0) continue;
-      if (std::strcmp(op.kind, "insert") == 0) model.insert(op.key);
-      if (std::strcmp(op.kind, "erase") == 0) model.erase(op.key);
-    }
-    std::set<std::int64_t> lane_durable;
-    const std::int64_t lo = lane_key_base(lane) + 1;
-    const std::int64_t hi = lane_key_base(lane) + kLaneKeySpan;
-    for (std::int64_t k : durable) {
-      if (k >= lo && k <= hi) {
-        lane_durable.insert(k);
+  // The op a lane's descriptor names as in flight, if any.
+  auto inflight_of = [](const LaneView& lv, oracle::LaneOp& op) {
+    op.kind = lv.v.desc.kind;
+    op.key = lv.v.desc.key;
+    return lv.v.in_flight() ? &op : nullptr;
+  };
+
+  std::set<std::int64_t> attributed;
+  int pending_deq = 0;
+  for (const LaneView& lv : lanes) {
+    const std::string who = "lane " + std::to_string(lv.lane) + ": ";
+    // The lane's key span of the durable walk (lists).
+    std::vector<std::int64_t> mine;
+    const std::int64_t lo = lane_key_base(lv.lane) + 1;
+    for (std::int64_t k : keys) {
+      if (k >= lo && k < lo + kLaneKeySpan) {
+        mine.push_back(k);
         attributed.insert(k);
       }
     }
-
-    const ds::Recovered rec = s->recover(slot);
-    if (rec.seq != J && rec.seq != J + 1) {
-      fail("lane " + std::to_string(lane) + " descriptor seq " +
-           std::to_string(rec.seq) + " matches no operation (journal " +
-           std::to_string(J) + ")");  // K1
+    if (lv.v.verdict == oracle::Verdict::violation) {
+      fail(who + lv.v.what);
       continue;
     }
-
-    if (rec.seq == J + 1) {
-      // In-flight at the kill.  The announcement (kind/key) preceded
-      // every possible kill point of the op, so it is durable truth.
-      const bool is_insert = rec.kind == ds::OpKind::insert;
-      const bool is_erase = rec.kind == ds::OpKind::erase;
-      const bool is_find = rec.kind == ds::OpKind::find;
-      if (!is_insert && !is_erase && !is_find) {
-        fail("lane " + std::to_string(lane) +
-             " in-flight descriptor has a non-list op kind");
-        continue;
+    if constexpr (!kQueue) {
+      const ds::OpKind k = lv.v.desc.kind;
+      oracle::Contents model;
+      oracle::LaneOp in;
+      std::string why =
+          lv.v.in_flight() && k != ds::OpKind::insert &&
+                  k != ds::OpKind::erase && k != ds::OpKind::find
+              ? "in-flight descriptor has a non-list op kind"
+              : oracle::replay(model, *lv.ops);
+      if (why.empty()) {
+        why = oracle::judge_contents(model, lv.v, inflight_of(lv, in),
+                                     oracle::Contents::walked(mine, {}));
       }
-      const bool present = model.count(rec.key) > 0;
-      std::set<std::int64_t> with = model;
-      if (is_insert) with.insert(rec.key);
-      if (is_erase) with.erase(rec.key);
+      if (!why.empty()) fail(who + why);
+      continue;
+    }
+    if (!lv.v.in_flight()) continue;
+    const ds::Recovered& rec = lv.v.desc;
+    if (rec.kind == ds::OpKind::enqueue) {
+      const auto v = static_cast<std::uint64_t>(rec.key);
       if (rec.completed) {
-        // K3: the committed response must be the one the model implies,
-        // and a successful mutation's effect must be durable.
-        const bool expect_ok = is_insert ? !present : present;
-        if (rec.ok != expect_ok) {
-          fail("lane " + std::to_string(lane) +
-               " in-flight op committed with a stale/wrong response");
+        // Enqueue commits (true, value); the effect must be there (or
+        // already consumed by a journaled dequeue).
+        if (!rec.ok || rec.result != v) {
+          fail(who + "committed in-flight enqueue carries a stale/wrong "
+                     "response");
+        } else if (durable_set.count(v) == 0 && deq_done.count(v) == 0) {
+          fail(who + "committed enqueue's value is durably lost");
         }
-        const std::set<std::int64_t>& expected =
-            (rec.ok && !is_find) ? with : model;
-        if (lane_durable != expected) {
-          fail("lane " + std::to_string(lane) +
-               " committed in-flight effect disagrees with durable "
-               "contents");
-        }
-      } else {
-        // Pending is always legitimate; contents match the model with
-        // or without the single in-flight effect (K4).
-        if (lane_durable != model && lane_durable != with) {
-          fail("lane " + std::to_string(lane) +
-               " durable contents match neither pre- nor post-in-"
-               "flight model");
+      }
+    } else if (rec.kind == ds::OpKind::dequeue) {
+      if (!rec.completed) {
+        ++pending_deq;
+      } else if (rec.ok) {
+        const std::uint64_t v = rec.result;
+        if (enq_done.count(v) == 0 && inflight_enq.count(v) == 0) {
+          fail(who + "committed dequeue returned a never-enqueued value "
+                     "(stale response?)");
+        } else if (durable_set.count(v) != 0) {
+          fail(who + "committed dequeue's value is still durably "
+                     "enqueued");
+        } else if (!deq_done.insert(v).second) {
+          fail("value " + std::to_string(v) + " dequeued twice");
         }
       }
     } else {
-      // K2: descriptor names the last journaled op exactly.
-      if (J > 0) {
-        const OpLine& last = ops.back();
-        const char* kind_name =
-            rec.kind == ds::OpKind::insert   ? "insert"
-            : rec.kind == ds::OpKind::erase  ? "erase"
-            : rec.kind == ds::OpKind::find   ? "find"
-                                             : "?";
-        if (!rec.completed || std::strcmp(last.kind, kind_name) != 0 ||
-            rec.key != last.key || rec.ok != (last.ok != 0) ||
-            rec.result != last.result) {
-          fail("lane " + std::to_string(lane) +
-               " descriptor lost or corrupted the last journaled "
-               "response");
-        }
-      }
-      if (lane_durable != model) {
-        fail("lane " + std::to_string(lane) +
-             " durable contents diverge from the journaled model");
-      }
+      fail(who + "in-flight descriptor has a non-queue op kind");
     }
   }
 
   // Keys no hello'd lane owns cannot exist: lanes write their hello
   // before their first operation.
-  for (std::int64_t k : durable) {
+  for (std::int64_t k : keys) {
     if (attributed.count(k) == 0) {
       fail("durable key " + std::to_string(k) +
            " belongs to no journaled lane");
       break;
     }
   }
-  return violations;
-}
+  if constexpr (!kQueue) return violations;
 
-template <typename S>
-int verify_queue(S* s, const Journal& j, int threads,
-                 std::string& detail) {
-  int violations = 0;
-  auto fail = [&](const std::string& w) {
-    ++violations;
-    if (detail.empty()) detail = w;
-  };
-
-  std::vector<std::uint64_t> durable;
-  if (!s->snapshot_values(durable)) {
-    fail("durable walk failed: link into unowned memory or a cycle");
-    return violations;
-  }
-  const std::set<std::uint64_t> durable_set(durable.begin(),
-                                            durable.end());
-
-  std::set<std::uint64_t> enq_done, deq_done;
-  std::set<std::uint64_t> inflight_enq;  // pending or committed
-  int pending_deq = 0;
-
-  // Lanes interact through the queue (one lane dequeues another's
-  // values), so judgement is two-pass: first gather every lane's
-  // journal facts and descriptor — an in-flight dequeue may return a
-  // value whose enqueue is in flight on a lane not yet visited — then
-  // check each lane against the complete picture.
-  struct LaneView {
-    int lane;
-    int slot;
-    const std::vector<OpLine>* ops;
-    ds::Recovered rec;
-    std::uint64_t J;
-  };
-  static const std::vector<OpLine> kNone;
-  std::vector<LaneView> lanes;
-  for (const auto& [lane, slot] : j.lane_slot) {
-    const auto it = j.ops.find(lane);
-    const std::vector<OpLine>& ops =
-        it != j.ops.end() ? it->second : kNone;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (ops[i].seq != i + 1) {
-        fail("journal gap in lane " + std::to_string(lane));
-        return violations;
-      }
-      if (std::strcmp(ops[i].kind, "enqueue") == 0) {
-        enq_done.insert(ops[i].result);
-      } else if (ops[i].ok != 0) {
-        if (!deq_done.insert(ops[i].result).second) {
-          fail("value " + std::to_string(ops[i].result) +
-               " journaled as dequeued twice");
-        }
-      }
-    }
-    const LaneView lv{lane, slot, &ops, s->recover(slot), ops.size()};
-    if (lv.rec.seq == lv.J + 1 &&
-        lv.rec.kind == ds::OpKind::enqueue) {
-      inflight_enq.insert(static_cast<std::uint64_t>(lv.rec.key));
-    }
-    lanes.push_back(lv);
-  }
-
-  for (const LaneView& lv : lanes) {
-    const int lane = lv.lane;
-    const ds::Recovered& rec = lv.rec;
-    const std::uint64_t J = lv.J;
-    if (rec.seq != J && rec.seq != J + 1) {
-      fail("lane " + std::to_string(lane) + " descriptor seq " +
-           std::to_string(rec.seq) + " matches no operation (journal " +
-           std::to_string(J) + ")");  // K1
-      continue;
-    }
-    if (rec.seq == J) {
-      if (J > 0) {
-        const OpLine& last = lv.ops->back();
-        const char* kind_name = rec.kind == ds::OpKind::enqueue
-                                    ? "enqueue"
-                                : rec.kind == ds::OpKind::dequeue
-                                    ? "dequeue"
-                                    : "?";
-        if (!rec.completed || std::strcmp(last.kind, kind_name) != 0 ||
-            rec.ok != (last.ok != 0) || rec.result != last.result) {
-          fail("lane " + std::to_string(lane) +
-               " descriptor lost or corrupted the last journaled "
-               "response");  // K2
-        }
-      }
-      continue;
-    }
-    // In-flight (seq == J+1).
-    if (rec.kind == ds::OpKind::enqueue) {
-      const auto v = static_cast<std::uint64_t>(rec.key);
-      if (rec.completed) {
-        // K3: enqueue commits (true, value); the effect must be there
-        // (or already consumed by a journaled dequeue).
-        if (!rec.ok || rec.result != v) {
-          fail("lane " + std::to_string(lane) +
-               " committed in-flight enqueue carries a stale/wrong "
-               "response");
-        } else if (durable_set.count(v) == 0 &&
-                   deq_done.count(v) == 0) {
-          fail("lane " + std::to_string(lane) +
-               " committed enqueue's value is durably lost");
-        }
-      }
-    } else if (rec.kind == ds::OpKind::dequeue) {
-      if (rec.completed) {
-        if (rec.ok) {
-          const std::uint64_t v = rec.result;
-          if (enq_done.count(v) == 0 && inflight_enq.count(v) == 0) {
-            fail("lane " + std::to_string(lane) +
-                 " committed dequeue returned a never-enqueued value "
-                 "(stale response?)");  // K3
-          } else if (durable_set.count(v) != 0) {
-            fail("lane " + std::to_string(lane) +
-                 " committed dequeue's value is still durably "
-                 "enqueued");
-          } else if (!deq_done.insert(v).second) {
-            fail("value " + std::to_string(v) + " dequeued twice");
-          }
-        }
-      } else {
-        ++pending_deq;
-      }
-    } else {
-      fail("lane " + std::to_string(lane) +
-           " in-flight descriptor has a non-queue op kind");
-    }
-  }
-
-  // K4, global value audit.
+  // Global value audit.
   for (std::uint64_t v : durable) {
     if (enq_done.count(v) == 0 && inflight_enq.count(v) == 0) {
       fail("durable value " + std::to_string(v) +
@@ -708,52 +555,17 @@ int verify_queue(S* s, const Journal& j, int threads,
   }
 
   // One lane: the journal is a total order, so FIFO is checkable
-  // exactly — replay it and require the durable sequence to be the
-  // model with or without the in-flight effect.
-  if (threads == 1 && violations == 0 && !j.lane_slot.empty()) {
-    const int lane = j.lane_slot.begin()->first;
-    const int slot = j.lane_slot.begin()->second;
-    const auto it = j.ops.find(lane);
-    std::vector<std::uint64_t> model;
-    if (it != j.ops.end()) {
-      for (const OpLine& op : it->second) {
-        if (std::strcmp(op.kind, "enqueue") == 0) {
-          model.push_back(op.result);
-        } else if (op.ok != 0) {
-          if (model.empty() || model.front() != op.result) {
-            fail("journaled dequeues violate FIFO against the "
-                 "journaled enqueues");
-            return violations;
-          }
-          model.erase(model.begin());
-        }
-      }
+  // exactly against the contents oracle.
+  if (threads == 1 && violations == 0 && !lanes.empty()) {
+    oracle::Contents model;
+    oracle::LaneOp in;
+    std::string why = oracle::replay(model, *lanes[0].ops);
+    if (why.empty()) {
+      why = oracle::judge_contents(model, lanes[0].v,
+                                   inflight_of(lanes[0], in),
+                                   oracle::Contents::walked({}, durable));
     }
-    const ds::Recovered rec = s->recover(slot);
-    const std::uint64_t J =
-        it != j.ops.end() ? it->second.size() : 0;
-    std::vector<std::uint64_t> with = model;
-    bool effect_known = false, effect_applied = false;
-    if (rec.seq == J + 1) {
-      if (rec.kind == ds::OpKind::enqueue) {
-        with.push_back(static_cast<std::uint64_t>(rec.key));
-      } else if (!with.empty()) {
-        with.erase(with.begin());
-      }
-      if (rec.completed) {
-        effect_known = true;
-        effect_applied = rec.ok || rec.kind == ds::OpKind::enqueue;
-      }
-    } else {
-      effect_known = true;  // nothing in flight
-      with = model;
-    }
-    const bool m0 = durable == model;
-    const bool m1 = durable == with;
-    if (effect_known ? !(effect_applied ? m1 : m0) : !(m0 || m1)) {
-      fail("single-lane durable FIFO sequence matches neither pre- "
-           "nor post-in-flight model");
-    }
+    if (!why.empty()) fail("single-lane FIFO: " + why);
   }
   return violations;
 }
@@ -788,42 +600,13 @@ inline int verify_in_process(const KillPlan& plan, std::string& detail,
     if (kill2_point > 0) pmem::crash::arm_kill(kill2_point);
     seal->started.store_persist(seal->started.load() + 1);
   }
-  int v = -2;
-  switch (plan.family) {
-    case Family::isb_list: {
-      auto* s = heap->find_root<ds::IsbListT<>>(kRootName);
-      v = s == nullptr ? -1 : verify_list(s, j, detail);
-      break;
-    }
-    case Family::isb_queue: {
-      auto* s = heap->find_root<ds::IsbQueueT<>>(kRootName);
-      v = s == nullptr ? -1 : verify_queue(s, j, plan.threads, detail);
-      break;
-    }
-    case Family::dt_list: {
-      auto* s = heap->find_root<ds::DtListT<>>(kRootName);
-      v = s == nullptr ? -1 : verify_list(s, j, detail);
-      break;
-    }
-    case Family::hm_map: {
-      // The K4 audit iterates buckets inside snapshot_keys(); the
-      // verifier's set-based comparison is walk-order-insensitive.
-      auto* s = heap->find_root<ds::IsbHashMapT<>>(kRootName);
-      v = s == nullptr ? -1 : verify_list(s, j, detail);
-      break;
-    }
-  }
+  const int v = visit_family(plan.family, [&](auto* tag) {
+    using S = std::remove_pointer_t<decltype(tag)>;
+    S* s = heap->find_root<S>(kRootName);
+    return s == nullptr ? -1 : verify(s, j, plan.threads, detail);
+  });
   if (seal != nullptr) seal->done.store_persist(seal->done.load() + 1);
   return v;
-}
-
-inline std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  char buf[512];
-  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
-  std::fclose(f);
-  return std::string(buf, n);
 }
 
 }  // namespace detail
@@ -836,6 +619,13 @@ inline constexpr int kVerifyInfraFail = 120;
 // SIGKILLed — the double-kill landed mid-recovery.  The caller runs a
 // third fresh-process pass for the verdict.
 inline constexpr int kVerifyKilled = -3;
+
+// Remove a trial's on-disk residue (heap file + journal + detail).
+inline void cleanup_heap_files(const KillPlan& plan) {
+  ::unlink(plan.heap_path.c_str());
+  ::unlink(plan.journal_path().c_str());
+  ::unlink(plan.detail_path().c_str());
+}
 
 // Forks a fresh process that maps the heap file, recovers, verifies,
 // and reports through its exit code (violations capped at 99).  The
@@ -854,7 +644,7 @@ inline int fork_verify(const KillPlan& plan,
     if (v > 0) {
       if (std::FILE* f =
               std::fopen(plan.detail_path().c_str(), "w")) {
-        std::fprintf(f, "%s\n", detail.c_str());
+        std::fputs(detail.c_str(), f);
         std::fclose(f);
       }
       ::_exit(v > 99 ? 99 : v);
@@ -878,9 +668,7 @@ inline int fork_verify(const KillPlan& plan,
 // state that already absorbed a crash during recovery.
 inline TrialResult kill_one(const KillPlan& plan) {
   TrialResult r;
-  ::unlink(plan.heap_path.c_str());
-  ::unlink(plan.journal_path().c_str());
-  ::unlink(plan.detail_path().c_str());
+  cleanup_heap_files(plan);
 
   int pfd[2] = {-1, -1};
   if (::pipe(pfd) != 0) {
@@ -1010,30 +798,25 @@ inline KillReport kill_many(const KillPlan& proto, int trials,
   return rep;
 }
 
-// Failing-trial reproducers as JSON lines (the CI artifact); same
-// truncate-once-per-process convention as crashfuzz's
-// write_reproducer.  Replay one line with
+// Failing-trial reproducers as JSON lines (the CI artifact).  Replay
+// one line with
 //   kill_one({family, seed, threads, kill_point})
 // (deterministic for threads == 1; timed failures replay the same
 // workload draws, not the same kill instant).
 inline void write_kill_reproducer(const KillReport& report,
                                   const std::string& path) {
-  static bool truncated_once = false;
-  std::FILE* f = std::fopen(path.c_str(), truncated_once ? "a" : "w");
-  if (f == nullptr) return;
-  truncated_once = true;
+  std::string lines;
   for (const KillFailure& x : report.failures) {
-    std::fprintf(f,
-                 "{\"family\":\"%s\",\"seed\":%llu,\"kill_point\":%llu,"
-                 "\"delay_us\":%d,\"threads\":%d,\"double_kill\":%d,"
-                 "\"what\":\"%s\"}\n",
-                 x.family.c_str(),
-                 static_cast<unsigned long long>(x.seed),
-                 static_cast<unsigned long long>(x.kill_point),
-                 x.delay_us, x.threads, x.double_kill ? 1 : 0,
-                 x.what.c_str());
+    lines += failure_jsonl(
+        "\"family\":\"" + x.family + "\",\"seed\":" +
+            std::to_string(x.seed) +
+            ",\"kill_point\":" + std::to_string(x.kill_point) +
+            ",\"delay_us\":" + std::to_string(x.delay_us) +
+            ",\"threads\":" + std::to_string(x.threads) +
+            ",\"double_kill\":" + (x.double_kill ? "1" : "0"),
+        x.what);
   }
-  std::fclose(f);
+  append_jsonl(path, lines);
 }
 
 // Default heap path: REPRO_HEAP_PATH, or a pid-scoped /tmp file so
@@ -1042,13 +825,6 @@ inline void write_kill_reproducer(const KillReport& report,
 inline std::string default_heap_path() {
   if (const char* p = std::getenv("REPRO_HEAP_PATH")) return p;
   return "/tmp/repro_heap." + std::to_string(::getpid()) + ".pmem";
-}
-
-// Remove a trial's on-disk residue (heap file + journal + detail).
-inline void cleanup_heap_files(const KillPlan& plan) {
-  ::unlink(plan.heap_path.c_str());
-  ::unlink(plan.journal_path().c_str());
-  ::unlink(plan.detail_path().c_str());
 }
 
 }  // namespace repro::harness::kill

@@ -452,7 +452,7 @@ inline Result check(const std::vector<Op>& ops, const Spec& spec) {
       // persistence-instruction bound.  For sets a must op therefore
       // still pins the descriptor's exact response in the
       // linearization, but not its durability; the single-threaded
-      // fuzzer (crashfuzz.hpp D1-D4), where no cross-thread hostage
+      // fuzz_one (DC1–DC4, oracle.hpp), where no cross-thread hostage
       // exists, keeps enforcing effect-durability exactly.
       if (op.pending == Pending::must &&
           (spec.kind == Semantics::queue ||

@@ -21,7 +21,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <ostream>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -119,8 +121,18 @@ inline std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out.push_back(c);
+    }
   }
   return out;
 }
@@ -134,6 +146,31 @@ inline std::string fmt_double(double v) {
 }
 
 }  // namespace detail
+
+// Failure artifacts (fuzz reproducers, failing histories, kill
+// reproducers) are JSON lines, one object per failure: `fields` — the
+// numbers and registry names, which need no escaping — then the
+// free-form diagnostic, escaped here because it can hold quotes,
+// backslashes and newlines.
+inline std::string failure_jsonl(const std::string& fields,
+                                 const std::string& what) {
+  return "{" + fields + ",\"what\":\"" + detail::json_escape(what) +
+         "\"}\n";
+}
+
+// Appends `lines` to `path`.  The first append to a path in a process
+// truncates it, so an artifact holds one run's failures while every
+// failing structure of that run adds its own.
+inline void append_jsonl(const std::string& path, const std::string& lines) {
+  static std::mutex mu;
+  static std::set<std::string> started;
+  const std::lock_guard<std::mutex> lock(mu);
+  std::FILE* f =
+      std::fopen(path.c_str(), started.insert(path).second ? "w" : "a");
+  if (f == nullptr) return;
+  std::fwrite(lines.data(), 1, lines.size(), f);
+  std::fclose(f);
+}
 
 // Owns its file stream when constructed from a path; borrows the
 // ostream otherwise (tests write into a stringstream).

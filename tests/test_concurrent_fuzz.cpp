@@ -6,7 +6,8 @@
 // REPRO_MUTATE_DROP_PREPUBLISH (msqueue_core's pre_publish elided)
 // must be caught within 2000 points, while the unmutated build
 // survives the full budget (REPRO_CONC_POINTS, default 2000 per
-// family — the CI nightly raises it).
+// family — the CI nightly raises it).  The reclaim and repeated-crash
+// scenarios also run at two threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -150,6 +151,31 @@ TEST(ConcurrentFuzz, AdversarialScenariosFloorThreadsAtTwo) {
         harness::concurrent_fuzz_structure(algo("Isb"), plan);
     EXPECT_EQ(rep.violations, 0)
         << (rep.failures.empty() ? "?" : rep.failures.front().what);
+  }
+}
+
+// The scenario hooks do not depend on the lane count: reclaim_crash
+// (erase-biased sets, parked cells durably clean at the crash) and
+// repeated_crash (crashes inside recovery, recovery idempotent across
+// the chain) run at two threads over the detectable registry.  Isb-leak
+// is skipped as in AllDetectableFamiliesSurvive.
+TEST(ConcurrentFuzz, ReclaimAndRepeatedCrashSurviveAtTwoThreads) {
+  for (const auto scenario : {harness::ScenarioKind::reclaim_crash,
+                              harness::ScenarioKind::repeated_crash}) {
+    for (const AlgoEntry* e :
+         harness::Registry::instance().select("trait:detectable")) {
+      if (e->has_trait("no-reclaim")) continue;
+      ConcurrentCrashPlan plan = quick_plan(30);
+      plan.threads = 2;
+      plan.scenario = scenario;
+      const ConcurrentFuzzReport rep =
+          harness::concurrent_fuzz_structure(*e, plan);
+      EXPECT_EQ(rep.violations, 0)
+          << harness::scenario_name(scenario) << " " << e->name << ": "
+          << (rep.failures.empty() ? "?" : rep.failures.front().what);
+      EXPECT_GT(rep.crashes, 0)
+          << harness::scenario_name(scenario) << " " << e->name;
+    }
   }
 }
 

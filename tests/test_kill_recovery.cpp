@@ -220,7 +220,7 @@ TEST(KillRecovery, UnmutatedBuildSurvivesDeterministicSweep) {
 // msync/fence mapping permits (durable "done" ahead of the response).
 // A deterministic kill-point sweep over the ISB list must observe a
 // descriptor that says done-with-stale-response — the violation class
-// K3 exists to catch — within 200 points, i.e. within the first few
+// DC3 exists to catch — within 200 points, i.e. within the first few
 // dozen operations.
 TEST(KillRecoveryMutation, DropMsyncIsDetectedWithin200KillPoints) {
   const std::string path = test_heap_path("mutant");
