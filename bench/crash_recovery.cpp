@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   // scheme.  Isb-Opt rides along in the fuzz figure because its
   // optimized profile leaves post_update flushes unfenced — exactly
   // the window a dropped persist-before-retire fence exposes (the
-  // REPRO_MUTATE_DROP_RETIRE_PERSIST self-test detects through it).
+  // drop_retire_persist mutant's self-test detects through it).
   const std::vector<std::string> matrix = {
       "Isb",          "Isb-Queue",     "DT-HashMap",
       "Isb-List-HP",  "Isb-Queue-HP",  "DT-HashMap-HP",

@@ -173,31 +173,11 @@ class DetectableOp {
     if (persisted_ && profile_ == PersistProfile::optimized) {
       pmem::fence();
     }
-#ifdef REPRO_MUTATE_DROP_MSYNC
-    // Mutation self-test for the fork-kill harness (killfuzz.hpp): in
-    // the mmap backend the commit's pwb/pfence/psync mapping is what
-    // orders the response words before the durable "done" record.
-    // Eliding that mapping permits the write-back carrying `done` to
-    // reach the file ahead of the response; a real SIGKILL cannot
-    // reorder a single thread's stores, so the mutated build emulates
-    // the permitted reorder explicitly — status first, then a
-    // persistence boundary (where an armed kill lands), then the
-    // response.  A kill in that window leaves a descriptor that
-    // durably says done with a stale response, which the kill
-    // verifier must flag.
-    if (pmem::mode() == pmem::Mode::mmap) {
-      d_.status.store(static_cast<std::uint64_t>(OpStatus::done));
-      if (persisted_) {
-        pmem::flush(&d_);
-        pmem::psync();
-      }
-      d_.ok.store(ok ? 1 : 0);
-      d_.result.store(result);
-      if (persisted_) pmem::fence();
-      committed_ = true;
+    if (pmem::crash::mutated(pmem::crash::Mutant::drop_msync) &&
+        pmem::mode() == pmem::Mode::mmap) [[unlikely]] {
+      commit_reordered(ok, result);
       return;
     }
-#endif
     d_.ok.store(ok ? 1 : 0);
     d_.result.store(result);
     d_.status.store(static_cast<std::uint64_t>(OpStatus::done));
@@ -219,6 +199,26 @@ class DetectableOp {
   bool committed() const { return committed_; }
 
  private:
+  // Mutant::drop_msync: in the mmap backend the commit's pwb/pfence/
+  // psync mapping orders the response before the durable "done"
+  // record.  A SIGKILL cannot reorder one thread's stores, so this
+  // emulates the reorder eliding it permits: status, a persistence
+  // boundary (where an armed kill lands), then the response — a
+  // durable done-with-stale-response the kill verifier must flag.
+  // Out of line and cold, so commit() keeps its size.
+  [[gnu::cold, gnu::noinline]] void commit_reordered(bool ok,
+                                                     std::uint64_t result) {
+    d_.status.store(static_cast<std::uint64_t>(OpStatus::done));
+    if (persisted_) {
+      pmem::flush(&d_);
+      pmem::psync();
+    }
+    d_.ok.store(ok ? 1 : 0);
+    d_.result.store(result);
+    if (persisted_) pmem::fence();
+    committed_ = true;
+  }
+
   OpDesc& d_;
   PersistProfile profile_;
   bool persisted_;

@@ -33,7 +33,7 @@ namespace repro::ds {
 // has durable baseline 0/nullptr until pre_publish flushes it.  That
 // is what makes an elided pre_publish *visible* to the crash engine —
 // a durable link can then reach a node whose payload rewinds to zero
-// (the REPRO_MUTATE_DROP_PREPUBLISH self-test relies on it).  Pool
+// (the drop_prepublish mutant's self-test relies on it).  Pool
 // cells are cache-line-aligned, so one pwb of the node covers both
 // words.
 struct QueueNode {
@@ -81,13 +81,13 @@ class MsQueueCore {
     Node* node = Reclaimer::template create<Node>(value, nullptr);
     // Persist the initialised node before any durable link to it can
     // exist; its fields never change afterwards, so once is enough
-    // even across CAS retries.  REPRO_MUTATE_DROP_PREPUBLISH is the
-    // concurrent crash fuzzer's mutation self-test: eliding exactly
-    // this call lets a durable link reach a node whose payload was
-    // never persisted, and the fuzzer must report it.
-#ifndef REPRO_MUTATE_DROP_PREPUBLISH
-    policy_.pre_publish(node);
-#endif
+    // even across CAS retries.  Mutant::drop_prepublish elides exactly
+    // this call: a durable link can then reach a node whose payload was
+    // never persisted, and the concurrent crash fuzzer must report it.
+    if (!pmem::crash::mutated(pmem::crash::Mutant::drop_prepublish))
+        [[likely]] {
+      policy_.pre_publish(node);
+    }
     while (true) {
       Node* last = tail_.load(std::memory_order_acquire);
       if constexpr (Reclaimer::Guard::kHazards) {

@@ -143,13 +143,12 @@ class DtPolicy {
 
   void post_update(const void* primary, const void*) {
     pmem::flush(primary);
-    // REPRO_MUTATE_DROP_PFENCE is the crash engine's mutation
-    // self-test: building with it elides exactly this ordering fence,
-    // and the fuzzer must then report a detectability violation (the
+    // Mutant::drop_pfence elides exactly this ordering fence, and the
+    // crash fuzzer must then report a detectability violation (the
     // commit record can persist while the structural update is lost).
-#ifndef REPRO_MUTATE_DROP_PFENCE
-    pmem::fence();
-#endif
+    if (!pmem::crash::mutated(pmem::crash::Mutant::drop_pfence)) [[likely]] {
+      pmem::fence();
+    }
   }
 
   // See IsbPolicy::expose.

@@ -71,7 +71,6 @@
 #include "repro/harness/sinks.hpp"
 #include "repro/harness/workload.hpp"
 #include "repro/mem/ebr.hpp"
-#include "repro/mem/hp.hpp"
 #include "repro/mem/pop.hpp"
 #include "repro/pmem/crash.hpp"
 #include "repro/pmem/persist.hpp"
@@ -239,7 +238,7 @@ namespace fuzz_detail {
 //   valid := epoch; pwb(valid); pfence;
 //
 // whose invariant — valid durable at epoch e implies seq durable at e —
-// is checked after each chained crash.  REPRO_MUTATE_DROP_RECOVERY_FENCE
+// is checked after each chained crash.  Mutant::drop_recovery_fence
 // elides the first pfence, leaving both lines pending at the second
 // fence; an adversarial crash there can commit valid while dropping
 // seq, the classic recovery-path ordering bug this family exists to
@@ -261,9 +260,10 @@ struct RecoverySeal {
   void write(std::uint64_t epoch) {
     seq.v.store(epoch);
     pmem::flush(&seq.v);
-#if !defined(REPRO_MUTATE_DROP_RECOVERY_FENCE)
-    pmem::fence();
-#endif
+    if (!pmem::crash::mutated(pmem::crash::Mutant::drop_recovery_fence))
+        [[likely]] {
+      pmem::fence();
+    }
     valid.v.store(epoch);
     pmem::flush(&valid.v);
     pmem::fence();
@@ -405,9 +405,7 @@ class Driver {
       tally_.total_ops = cfg_.exact ? lanes_[0].done.size() : ops.size();
       holder.reset();
     }  // ReclaimPause ends here, so the quiesce below drains the limbo
-    mem::EpochDomain::instance().quiesce();
-    mem::PopDomain::instance().quiesce();
-    mem::HpDomain::instance().quiesce();
+    mem::quiesce_all();
     return tally_;
   }
 
@@ -585,8 +583,8 @@ class Driver {
   // cell, retired into any scheme's limbo/batch under the iteration's
   // ReclaimPause, must be durably equal to its volatile contents.
   // persist-before-retire (mem::detail::persist_retired) guarantees
-  // it; the REPRO_MUTATE_DROP_RETIRE_PERSIST build elides its fence and
-  // must be caught here — a retired-but-dirty cell means a rewound
+  // it; Mutant::drop_retire_persist elides its flush+fence and must be
+  // caught here — a retired-but-dirty cell means a rewound
   // durable link could reach a torn image of it.
   void scan_parked_cells() {
     struct {

@@ -24,9 +24,9 @@
 // stream*, not the write-back queue.  The harness therefore exercises
 // reattach/recovery machinery and store-ORDER protocol bugs (a "done"
 // record written before its response, a link published before its
-// node).  The REPRO_MUTATE_DROP_MSYNC build (detectable.hpp) emulates
-// exactly such a reorder and must be caught here; unordered write-back
-// LOSS remains the shadow fuzzers' jurisdiction.
+// node).  The drop_msync mutant (detectable.hpp) emulates exactly such
+// a reorder and must be caught here; unordered write-back LOSS remains
+// the shadow fuzzers' jurisdiction.
 //
 // Journaling: the child appends one JSONL line per completed operation
 // with a single write(2) each (durable-in-page-cache at the kill, and

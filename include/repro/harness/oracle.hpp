@@ -45,7 +45,7 @@
 // a durable image that lacks a completed op's effect.  At one lane that
 // is weaker than DC4 — it would accept a completed op whose commit
 // record persisted while its update was lost, the image the
-// REPRO_MUTATE_DROP_PFENCE mutant exists to produce.
+// drop_pfence mutant exists to produce.
 #pragma once
 
 #include <algorithm>

@@ -67,22 +67,21 @@ namespace detail {
 // link still reaches it (the unlink that freed it may itself be among
 // the lost write-backs).  Fencing here pins the invariant the
 // crash-during-reclaim scenario checks: a parked cell is always
-// durably equal to its live contents.  REPRO_MUTATE_DROP_RETIRE_PERSIST
-// is the scenario's mutation self-test: building with it elides
-// exactly this flush+fence, and the reclaim-crash fuzzer must then
-// report a parked cell with unpersisted stores.
-inline void persist_retired(const void* p, std::size_t bytes) {
-#ifndef REPRO_MUTATE_DROP_RETIRE_PERSIST
-  const auto base = reinterpret_cast<std::uintptr_t>(p);
-  for (std::uintptr_t a = base & ~std::uintptr_t{kCacheLine - 1};
-       a < base + bytes; a += kCacheLine) {
-    pmem::flush(reinterpret_cast<const void*>(a));
+// durably equal to its live contents.  Mutant::drop_retire_persist
+// elides exactly this flush+fence, and the reclaim-crash fuzzer must
+// then report a parked cell with unpersisted stores.  Always inlined,
+// as it was before the mutant check tipped GCC's inliner against it.
+[[gnu::always_inline]] inline void persist_retired(const void* p,
+                                                std::size_t bytes) {
+  if (!pmem::crash::mutated(pmem::crash::Mutant::drop_retire_persist))
+      [[likely]] {
+    const auto base = reinterpret_cast<std::uintptr_t>(p);
+    for (std::uintptr_t a = base & ~std::uintptr_t{kCacheLine - 1};
+         a < base + bytes; a += kCacheLine) {
+      pmem::flush(reinterpret_cast<const void*>(a));
+    }
+    pmem::fence();
   }
-  pmem::fence();
-#else
-  (void)p;
-  (void)bytes;
-#endif
 }
 }  // namespace detail
 
@@ -303,8 +302,9 @@ class EpochDomain {
   // Cross-scheme hooks (pool.hpp): the final resume_reclaim drains
   // through these, and the crash-during-reclaim scenario walks every
   // parked cell through them.
-  static void drain_current_slot() {
+  static void drain_current_slot(bool quiesce) {
     EpochDomain& d = instance();
+    if (quiesce) return d.quiesce();
     d.try_advance();
     d.reclaim_ready(d.slots_[ds::thread_slot()]);
   }

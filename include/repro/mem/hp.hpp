@@ -171,7 +171,8 @@ class HpDomain {
                                      &HpDomain::drain_current_slot);
   }
 
-  static void drain_current_slot() {
+  // A scan is both the drain and the quiesce.
+  static void drain_current_slot(bool /*quiesce*/) {
     HpDomain& d = instance();
     d.scan(d.slots_[ds::thread_slot()]);
   }

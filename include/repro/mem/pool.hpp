@@ -105,13 +105,15 @@ inline std::atomic<int>& pause_depth_cell() {
 // Cross-scheme hook table.  Each reclamation domain registers itself
 // once (at construction): a drain function the *final* resume runs so
 // a fuzz iteration's parked garbage is freed no matter which scheme
-// parked it, and a parked-cell walker the crash-during-reclaim
+// parked it (with quiesce set, quiesce_all() runs the domain's
+// quiesce(), which also drops the caller's pin and forces grace
+// periods), and a parked-cell walker the crash-during-reclaim
 // scenario uses to assert every cell sitting in a limbo/retire list is
 // durably clean at crash time.  Slots are claimed by CAS on the walker
 // (two domains may first-construct concurrently); both fields are
 // plain function pointers so registration needs no allocation.
 inline constexpr int kMaxReclaimerSchemes = 4;
-using DrainFn = void (*)();
+using DrainFn = void (*)(bool quiesce);
 using ParkedVisitor = void (*)(void* ctx, const void* cell,
                                std::size_t bytes);
 using ParkedWalkFn = void (*)(void* ctx, ParkedVisitor visit);
@@ -134,13 +136,19 @@ inline void register_reclaimer_hooks(ParkedWalkFn walk, DrainFn drain) {
     }
   }
 }
-inline void drain_all_schemes() {
+inline void drain_all_schemes(bool quiesce = false) {
   ReclaimerHooks* hs = reclaimer_hooks();
   for (int i = 0; i < kMaxReclaimerSchemes; ++i) {
-    if (DrainFn fn = hs[i].drain.load(std::memory_order_acquire)) fn();
+    if (DrainFn fn = hs[i].drain.load(std::memory_order_acquire)) {
+      fn(quiesce);
+    }
   }
 }
 }  // namespace detail
+
+// Every constructed reclamation domain's quiesce(), on the calling
+// thread's slot (outside any Guard).
+inline void quiesce_all() { detail::drain_all_schemes(true); }
 
 // True while any ReclaimPause (any scheme's pause) is in force.
 inline bool reclaim_paused() {
@@ -169,9 +177,34 @@ inline std::int64_t outstanding_blocks() {
   return detail::outstanding_cell().load(std::memory_order_relaxed);
 }
 
-// Install (attach) or clear (detach) the persistent slab source.
+namespace detail {
+// Every NodePool type, for set_slab_source.
+struct PoolLink {
+  void (*forget_cells)();
+  PoolLink* next = nullptr;
+};
+inline std::atomic<PoolLink*>& pool_list() {
+  static std::atomic<PoolLink*> head{nullptr};
+  return head;
+}
+inline void register_pool(PoolLink* link) {
+  link->next = pool_list().load();
+  while (!pool_list().compare_exchange_weak(link->next, link)) {
+  }
+}
+}  // namespace detail
+
+// Install (attach) or clear (detach) the persistent slab source.  Every
+// pool then forgets (leaks) its free and fresh cells: a process that
+// used a pool before attaching would otherwise build its heap root
+// partly in malloc'd memory that no process mapping the file sees.  No
+// structure may span a switch, and no thread may allocate during one.
 inline void set_slab_source(void* (*fn)(std::size_t)) {
   detail::slab_source_cell().store(fn, std::memory_order_release);
+  for (detail::PoolLink* l = detail::pool_list().load(); l != nullptr;
+       l = l->next) {
+    l->forget_cells();
+  }
 }
 
 // Process-wide directory of every pool slab's address range.  The
@@ -486,6 +519,7 @@ class NodePool {
         }
       }
       SlabDirectory::instance().add(slab, kSlabPayload, kCellAlign);
+      if (!listed_.exchange(true)) detail::register_pool(&link_);
       sh.slab = slab;
       sh.next = 0;
     }
@@ -493,6 +527,12 @@ class NodePool {
   }
 
   Shard shards_[ds::kMaxThreads];
+  // Listed on the first slab, so the pool stays constant-initialized.
+  static void forget_cells() {
+    for (Shard& sh : instance().shards_) sh = Shard{};
+  }
+  detail::PoolLink link_{&forget_cells};
+  std::atomic<bool> listed_{false};
   std::mutex slabs_mu_;
   std::vector<void*> slabs_;       // volatile (malloc'd) slabs only
   std::size_t mapped_slabs_ = 0;   // slabs carved from a mapped heap

@@ -198,8 +198,9 @@ class PopDomain {
                                      &PopDomain::drain_current_slot);
   }
 
-  static void drain_current_slot() {
+  static void drain_current_slot(bool quiesce) {
     PopDomain& d = instance();
+    if (quiesce) return d.quiesce();
     d.try_advance();
     d.reclaim_ready(d.slots_[ds::thread_slot()]);
   }

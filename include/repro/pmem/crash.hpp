@@ -34,7 +34,23 @@ struct CrashUnwind {
   std::uint64_t events = 0;  // instructions executed before the crash
 };
 
+// Runtime mutants: each elides (drop_msync: reorders) exactly one
+// persistence site, at DtPolicy::post_update, MsQueueCore::enqueue,
+// DetectableOp::commit, RecoverySeal::write and
+// mem::detail::persist_retired, and the verifier its self-test names
+// (tests/test_mutants.cpp) must then report a violation.  One
+// process-wide cell selects at most one; only tests set it, through
+// MutantScope.  Forked children inherit it.
+enum class Mutant : std::uint8_t {
+  none, drop_pfence, drop_prepublish, drop_msync, drop_recovery_fence,
+  drop_retire_persist
+};
+
 namespace detail {
+inline std::atomic<Mutant>& mutant_cell() {
+  static std::atomic<Mutant> m{Mutant::none};
+  return m;
+}
 inline std::atomic<bool>& armed_cell() {
   static std::atomic<bool> a{false};
   return a;
@@ -83,6 +99,24 @@ inline std::atomic<bool>& stall_hit_cell() {
   return h;
 }
 }  // namespace detail
+
+inline bool mutated(Mutant m) {
+  return detail::mutant_cell().load(std::memory_order_relaxed) == m;
+}
+
+// Selects a mutant until scope exit, exceptions included; construct it
+// before starting the threads that should see it.
+class MutantScope {
+ public:
+  explicit MutantScope(Mutant m) {
+    detail::mutant_cell().store(m, std::memory_order_relaxed);
+  }
+  ~MutantScope() {
+    detail::mutant_cell().store(Mutant::none, std::memory_order_relaxed);
+  }
+  MutantScope(const MutantScope&) = delete;
+  MutantScope& operator=(const MutantScope&) = delete;
+};
 
 inline bool armed() {
   // Acquire: reading the firing thread's release-store of false makes

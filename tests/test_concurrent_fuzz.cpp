@@ -2,11 +2,10 @@
 // driver): every trait:detectable family survives fuzzing under the
 // durable-linearizability checker, checker verdicts are a
 // deterministic function of the recorded history, failing histories
-// dump as parseable JSONL — and the mutation self-test: a build with
-// REPRO_MUTATE_DROP_PREPUBLISH (msqueue_core's pre_publish elided)
-// must be caught within 2000 points, while the unmutated build
-// survives the full budget (REPRO_CONC_POINTS, default 2000 per
-// family — the CI nightly raises it).  The reclaim and repeated-crash
+// dump as parseable JSONL — and the unmutated direction of the
+// drop_prepublish self-test (tests/test_mutants.cpp): Isb-Queue
+// survives the full budget (REPRO_CONC_POINTS, default 2000 per family
+// — the CI nightly raises it).  The reclaim and repeated-crash
 // scenarios also run at two threads.
 #include <gtest/gtest.h>
 
@@ -46,8 +45,6 @@ int env_points(const char* name, int fallback) {
   return fallback;
 }
 
-#ifndef REPRO_MUTATE_DROP_PREPUBLISH
-
 // All trait:detectable families, quick budget (the deep budget runs
 // below and in the nightly CI job).  Isb-leak is absent for the same
 // reason as in test_crash_engine: it leaks by design and would trip
@@ -69,7 +66,7 @@ TEST(ConcurrentFuzz, AllDetectableFamiliesSurvive) {
 }
 
 // The deep unmutated direction of the mutation self-test: the queue
-// whose pre_publish the mutated build elides must survive the full
+// whose pre_publish drop_prepublish elides must survive the full
 // point budget when unmutated.  REPRO_CONC_POINTS scales it (CI
 // nightly runs 20000); alongside AllDetectableFamiliesSurvive the
 // default suite still crosses 2000 + 13*300 ≈ 6k points per run.
@@ -204,32 +201,5 @@ TEST(ConcurrentFuzz, DumpedHistoryRechecksDeterministically) {
   EXPECT_EQ(r2.states, r1.states);
   EXPECT_EQ(r2.what, r1.what);
 }
-
-#else  // REPRO_MUTATE_DROP_PREPUBLISH
-
-// Mutated build: msqueue_core's enqueue no longer persists a node
-// before publishing it, so a crashed iteration can leave a durable
-// link to a node whose payload (and next pointer) rewind to stale
-// pool garbage.  The concurrent fuzzer must notice well within 2000
-// crash points — empirically the very first crashing point usually
-// fails, via the durable-walk guard or a value nobody enqueued.
-TEST(ConcurrentFuzz, DroppedPrePublishIsDetectedWithin2000Points) {
-  const AlgoEntry& q = algo("Isb-Queue");
-  const ConcurrentCrashPlan plan = quick_plan(2000);
-  ConcurrentFuzzReport rep;
-  const std::uint64_t base = plan.effective_seed();
-  int used = 0;
-  for (; used < plan.points && rep.violations == 0; ++used) {
-    harness::concurrent_fuzz_one(
-        q, plan,
-        harness::mix_seed(base,
-                          0xC0C0'0000ull + static_cast<std::uint64_t>(used)),
-        0, used, rep);
-  }
-  EXPECT_GT(rep.violations, 0)
-      << "mutation not detected in " << used << " concurrent points";
-}
-
-#endif  // REPRO_MUTATE_DROP_PREPUBLISH
 
 }  // namespace

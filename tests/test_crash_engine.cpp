@@ -3,10 +3,10 @@
 // the coalescing window spills correctly), crash-point arming at
 // persistence-instruction boundaries, deterministic replay of a
 // {seed, crash_point} pair, and the crash-point fuzzer's detectability
-// verdicts — including the mutation self-test: a build with
-// REPRO_MUTATE_DROP_PFENCE (one elided pfence in DtList's policy) must
-// be caught within 2000 crash points, and the unmutated build must
-// survive 50000.
+// verdicts — including the unmutated direction of the mutation
+// self-tests: DT survives 50000 single-crash and 5000 chained points,
+// Isb-Opt 5000 reclaim-crash points (tests/test_mutants.cpp holds the
+// detection direction).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -379,31 +379,7 @@ TEST(ChainFuzz, AllDetectableFamiliesSurviveChainedCrashes) {
   }
 }
 
-#ifdef REPRO_MUTATE_DROP_RECOVERY_FENCE
-
-// Mutated build: the recovery seal's ordering fence between its seq
-// and valid stores is elided, so a chained crash landing inside the
-// recovery pass can persist valid while dropping seq.  The
-// repeated-crash scenario must notice well within 2000 points.
-TEST(ChainFuzz, DroppedRecoveryFenceIsDetectedWithin2000Points) {
-  const AlgoEntry& dt = algo("DT");
-  CrashPlan plan = chain_plan(2000);
-  FuzzReport rep;
-  int used = 0;
-  const std::uint64_t base = plan.effective_seed();
-  for (; used < plan.points && rep.violations == 0; ++used) {
-    harness::fuzz_one(dt, plan,
-                      harness::mix_seed(base,
-                                        static_cast<std::uint64_t>(used)),
-                      0, used, rep);
-  }
-  EXPECT_GT(rep.violations, 0)
-      << "mutation not detected in " << used << " crash points";
-}
-
-#else
-
-// Unmutated build: the chained sweep must stay clean at the nightly
+// Unmutated: the chained sweep must stay clean at the nightly
 // budget (the other direction of the mutation self-test).
 TEST(ChainFuzz, UnmutatedDtListSurvives5000ChainedPoints) {
   const FuzzReport rep =
@@ -412,8 +388,6 @@ TEST(ChainFuzz, UnmutatedDtListSurvives5000ChainedPoints) {
       << (rep.failures.empty() ? "?" : rep.failures.front().what);
   EXPECT_GT(rep.chain_crashes, 2500);
 }
-
-#endif  // REPRO_MUTATE_DROP_RECOVERY_FENCE
 
 // ---------------------------------------------------------------------
 // Crash-during-reclaim scenario (persist-before-retire adversary)
@@ -457,33 +431,7 @@ TEST(ReclaimFuzz, ReclaimerMatrixSurvivesReclaimCrashFuzzing) {
   }
 }
 
-#ifdef REPRO_MUTATE_DROP_RETIRE_PERSIST
-
-// Mutated build: retire() parks nodes without flushing+fencing their
-// lines first.  Isb-Opt's optimized profile leaves erase post_update
-// flushes unfenced, so a crash landing between a retire and the
-// thread's next fence finds the parked cell's lines still pending —
-// the scenario's parked-cell walk must report it well within 2000
-// points.
-TEST(ReclaimFuzz, DroppedRetirePersistIsDetectedWithin2000Points) {
-  const AlgoEntry& isb = algo("Isb-Opt");
-  CrashPlan plan = reclaim_plan(2000);
-  FuzzReport rep;
-  int used = 0;
-  const std::uint64_t base = plan.effective_seed();
-  for (; used < plan.points && rep.violations == 0; ++used) {
-    harness::fuzz_one(isb, plan,
-                      harness::mix_seed(base,
-                                        static_cast<std::uint64_t>(used)),
-                      0, used, rep);
-  }
-  EXPECT_GT(rep.violations, 0)
-      << "mutation not detected in " << used << " crash points";
-}
-
-#else
-
-// Unmutated build: the same structure must survive the nightly budget
+// Unmutated: the same structure must survive the nightly budget
 // (the other direction of the mutation self-test).
 TEST(ReclaimFuzz, UnmutatedIsbOptSurvives5000ReclaimPoints) {
   const FuzzReport rep =
@@ -493,33 +441,7 @@ TEST(ReclaimFuzz, UnmutatedIsbOptSurvives5000ReclaimPoints) {
   EXPECT_GT(rep.crashes, 2500);
 }
 
-#endif  // REPRO_MUTATE_DROP_RETIRE_PERSIST
-
-#ifdef REPRO_MUTATE_DROP_PFENCE
-
-// Mutated build: DtList is missing its post-update ordering fence, so
-// an adversarial crash can persist the commit record while dropping
-// the structural update.  The fuzzer must notice well within 2000
-// crash points (empirically it takes a few dozen).
-TEST(CrashFuzz, DroppedPfenceIsDetectedWithin2000Points) {
-  const AlgoEntry& dt = algo("DT");
-  CrashPlan plan = quick_plan(2000);
-  FuzzReport rep;
-  int used = 0;
-  const std::uint64_t base = plan.effective_seed();
-  for (; used < plan.points && rep.violations == 0; ++used) {
-    harness::fuzz_one(dt, plan,
-                      harness::mix_seed(base,
-                                        static_cast<std::uint64_t>(used)),
-                      0, used, rep);
-  }
-  EXPECT_GT(rep.violations, 0)
-      << "mutation not detected in " << used << " crash points";
-}
-
-#else
-
-// Unmutated build: the same structure must survive the full 50000
+// Unmutated: the same structure must survive the full 50000
 // crash points the nightly job runs (the other direction of the
 // mutation self-test).
 TEST(CrashFuzz, UnmutatedDtListSurvives50000Points) {
@@ -529,7 +451,5 @@ TEST(CrashFuzz, UnmutatedDtListSurvives50000Points) {
       << (rep.failures.empty() ? "?" : rep.failures.front().what);
   EXPECT_GT(rep.crashes, 25000);  // most points must actually crash
 }
-
-#endif  // REPRO_MUTATE_DROP_PFENCE
 
 }  // namespace

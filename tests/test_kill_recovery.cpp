@@ -5,12 +5,8 @@
 // Budgets here are small; the point is the harness's own contracts:
 // deterministic {seed, kill_point} replay, idempotent reopen-twice
 // recovery, and zero violations across a randomized batch per family.
-//
-// Under -DREPRO_MUTATE_DROP_MSYNC=ON the commit's mmap persistence
-// mapping is elided (emulating the store reorder the missing fence
-// permits) and the ONLY test compiled is the detection sweep: the
-// harness must catch the mutant in well under 200 deterministic kill
-// points, or the whole kill apparatus is vacuous.
+// The deterministic kill-point sweep, with and without the drop_msync
+// mutant, is the drop_msync row of tests/test_mutants.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -55,8 +51,6 @@ bool harness_usable(const std::string& path) {
   if (!harness_usable(path)) {                                         \
     GTEST_SKIP() << "fixed-base mmap unavailable in this environment"; \
   }
-
-#ifndef REPRO_MUTATE_DROP_MSYNC
 
 TEST(KillRecovery, CompletedRunVerifiesCleanAndReopenIsIdempotent) {
   const std::string path = test_heap_path("clean");
@@ -190,67 +184,5 @@ TEST(KillRecovery, DoubleKillBatchFindsNoViolationsPerFamily) {
     kill::cleanup_heap_files(plan);
   }
 }
-
-TEST(KillRecovery, UnmutatedBuildSurvivesDeterministicSweep) {
-  const std::string path = test_heap_path("sweep");
-  SKIP_IF_NO_HARNESS(path);
-  kill::KillPlan plan;
-  plan.heap_path = path;
-  plan.family = kill::Family::isb_list;
-  plan.seed = 0x5EEDull;
-  plan.threads = 1;
-  plan.ops_budget = 64;
-  int violations = 0;
-  for (std::uint64_t point = 1; point <= 120; ++point) {
-    plan.kill_point = point;
-    const kill::TrialResult r = kill::kill_one(plan);
-    if (!r.infra_ok) continue;
-    if (r.violations > 0 && violations == 0) {
-      ADD_FAILURE() << "kill_point=" << point << ": " << r.what;
-    }
-    violations += r.violations;
-  }
-  EXPECT_EQ(violations, 0);
-  kill::cleanup_heap_files(plan);
-}
-
-#else  // REPRO_MUTATE_DROP_MSYNC
-
-// Mutation self-test: commit() now emulates the reorder an elided
-// msync/fence mapping permits (durable "done" ahead of the response).
-// A deterministic kill-point sweep over the ISB list must observe a
-// descriptor that says done-with-stale-response — the violation class
-// DC3 exists to catch — within 200 points, i.e. within the first few
-// dozen operations.
-TEST(KillRecoveryMutation, DropMsyncIsDetectedWithin200KillPoints) {
-  const std::string path = test_heap_path("mutant");
-  SKIP_IF_NO_HARNESS(path);
-  kill::KillPlan plan;
-  plan.heap_path = path;
-  plan.family = kill::Family::isb_list;
-  plan.seed = 0x5EEDull;
-  plan.threads = 1;
-  plan.ops_budget = 64;
-  int violations = 0;
-  std::uint64_t caught_at = 0;
-  for (std::uint64_t point = 1; point <= 200 && violations == 0;
-       ++point) {
-    plan.kill_point = point;
-    const kill::TrialResult r = kill::kill_one(plan);
-    if (!r.infra_ok) continue;
-    violations += r.violations;
-    if (violations > 0) caught_at = point;
-  }
-  EXPECT_GT(violations, 0)
-      << "dropped commit persistence went undetected across 200 "
-         "deterministic kill points";
-  if (violations > 0) {
-    std::printf("mutation caught at kill_point=%llu\n",
-                static_cast<unsigned long long>(caught_at));
-  }
-  kill::cleanup_heap_files(plan);
-}
-
-#endif  // REPRO_MUTATE_DROP_MSYNC
 
 }  // namespace

@@ -159,8 +159,6 @@ TEST(MmapHeap, TornRootSlotIsReusedNotTrusted) {
   EXPECT_NE(h->find_root<RootBlob>("torn"), nullptr);
 }
 
-// A node type used by no other test, so this pool's shards never mix
-// volatile and mapped slabs across heap attach/detach cycles.
 struct HeapTestNode {
   std::uint64_t key;
   HeapTestNode* next;
@@ -190,6 +188,20 @@ TEST(MmapHeap, PoolSlabsCarvedFromMappedArena) {
     EXPECT_TRUE(repro::mem::SlabDirectory::instance().owns(n));
   }
   for (HeapTestNode* n : nodes) pool.destroy(n);
+}
+
+// A pool used before a heap is attached hands out only arena cells
+// after it: neither its free list nor the rest of its malloc'd slab.
+TEST(MmapHeap, PoolUsedBeforeAttachAllocatesOnlyArenaCellsAfter) {
+  auto& pool = repro::mem::NodePool<HeapTestNode>::instance();
+  pool.destroy(pool.create());  // one free cell, one half-used slab
+  HeapGuard g;
+  SKIP_IF_NO_HEAP(g);
+  for (int i = 0; i < 4; ++i) {
+    const auto a = reinterpret_cast<std::uintptr_t>(pool.create());
+    EXPECT_GE(a, g.get()->base() + MmapHeap::kHeaderBytes);
+    EXPECT_LT(a, g.get()->base() + g.get()->bytes());
+  }
 }
 
 TEST(MmapHeap, ModeMmapCountsInstructionsAndRawPathDoesNot) {

@@ -158,7 +158,7 @@ TEST(Oracle, InFlightOpDoneWithTheWrongResponseIsAViolation) {
   EXPECT_NE(oracle::judge_contents(model, v, &pending,
                                    oracle::Contents::walked({5, 9}, {})),
             "");
-  // Done-with-success whose effect is not durable (the DROP_PFENCE
+  // Done-with-success whose effect is not durable (the drop_pfence
   // image) is a violation; with the effect it is fine.
   const LaneOp ins7{0, OpKind::insert, 7, false, 0, true};
   const auto v7 = oracle::judge_lane(
