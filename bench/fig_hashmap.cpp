@@ -1,6 +1,7 @@
-// Hash-map figures (ROADMAP item 1): the Harris-Michael hash map under
-// the paper's transformations, at key ranges the flat list cannot
-// open.  Four specs:
+// Hash-map figures: the split-ordered hash map (one Harris list with
+// per-bucket dummy nodes behind a directory that grows with the keys)
+// under the paper's transformations, at key ranges the flat list
+// cannot open.  Four specs:
 //
 //   fig-hm          — throughput scaling over the hash-map series
 //                     (detectable ISB general/optimized, DT, and the
@@ -19,9 +20,9 @@
 //                     prefill is pinned low (2%) because filling a
 //                     *flat list* to 40% of 1M keys is quadratic; the
 //                     same 20k-key working set makes the per-op gap
-//                     the structures' own (REPRO_HM_BUCKET_BITS scales
-//                     the map's directory if a different load factor
-//                     is wanted).
+//                     the structures' own (the map's directory grows
+//                     to the working set; REPRO_HM_BUCKET_BITS only
+//                     sets where it starts).
 //
 // CI records the run as BENCH_PR9.json (REPRO_OUT) and shape-validates
 // the (algo, threads) combinations of the pinned-thread specs.

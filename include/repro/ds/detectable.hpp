@@ -86,14 +86,32 @@ inline int thread_slot() {
 
 // One cache line of notionally-persistent announcement state per
 // thread.  The response is two separate words (ok + result) so the
-// full 64-bit value space survives recovery intact.
+// full 64-bit value space survives recovery intact.  The per-thread
+// operation counter, the OpKind and the OpStatus share one word, `op`:
+// the announcement stores (J+1, kind, pending) before anything else and
+// the commit stores (J+1, kind, done) after everything else, so no
+// crash — not even a SIGKILL between two plain stores on another
+// lane's instruction — can pair op J+1's seq with op J's "done",
+// response or kind.
 struct alignas(64) OpDesc {
-  pmem::persist<std::uint64_t> seq{0};     // per-thread operation counter
-  pmem::persist<std::uint64_t> kind{0};    // OpKind
+  pmem::persist<std::uint64_t> op{0};      // word(seq, kind, status)
   pmem::persist<std::int64_t> key{0};      // operand (key / value)
-  pmem::persist<std::uint64_t> status{0};  // OpStatus
   pmem::persist<std::uint64_t> ok{0};      // committed success flag
   pmem::persist<std::uint64_t> result{0};  // committed response value
+
+  static constexpr std::uint64_t word(std::uint64_t seq, OpKind kind,
+                                      OpStatus s) {
+    return seq << 6 | static_cast<std::uint64_t>(kind) << 2 |
+           static_cast<std::uint64_t>(s);
+  }
+  static_assert(static_cast<std::uint64_t>(OpKind::exchange) < 16);
+  static constexpr std::uint64_t seq_of(std::uint64_t w) { return w >> 6; }
+  static constexpr OpKind kind_of(std::uint64_t w) {
+    return static_cast<OpKind>(w >> 2 & 15);
+  }
+  static constexpr OpStatus status_of(std::uint64_t w) {
+    return static_cast<OpStatus>(w & 3);
+  }
 };
 
 // What a recovering thread learns from its descriptor.
@@ -114,12 +132,12 @@ class AnnouncementBoard {
 
   Recovered recover(int slot) const {
     const OpDesc& d = slots_[slot];
+    const std::uint64_t op = d.op.load();
     Recovered r;
-    r.seq = d.seq.load();
-    r.kind = static_cast<OpKind>(d.kind.load());
+    r.seq = OpDesc::seq_of(op);
+    r.kind = OpDesc::kind_of(op);
     r.key = d.key.load();
-    r.completed =
-        static_cast<OpStatus>(d.status.load()) == OpStatus::done;
+    r.completed = OpDesc::status_of(op) == OpStatus::done;
     r.ok = d.ok.load() != 0;
     r.result = d.result.load();
     return r;
@@ -150,11 +168,13 @@ class DetectableOp {
  public:
   DetectableOp(AnnouncementBoard& board, OpKind kind, std::int64_t key,
                PersistProfile profile, bool persist_this_op = true)
-      : d_(board.mine()), profile_(profile), persisted_(persist_this_op) {
-    d_.seq.store(d_.seq.load(std::memory_order_relaxed) + 1);
-    d_.kind.store(static_cast<std::uint64_t>(kind));
+      : d_(board.mine()),
+        seq_(OpDesc::seq_of(d_.op.load(std::memory_order_relaxed)) + 1),
+        kind_(kind),
+        profile_(profile),
+        persisted_(persist_this_op) {
+    d_.op.store(OpDesc::word(seq_, kind_, OpStatus::pending));
     d_.key.store(key);
-    d_.status.store(static_cast<std::uint64_t>(OpStatus::pending));
     if (persisted_ && profile_ == PersistProfile::general) {
       pmem::flush(&d_);
       pmem::fence();
@@ -180,7 +200,7 @@ class DetectableOp {
     }
     d_.ok.store(ok ? 1 : 0);
     d_.result.store(result);
-    d_.status.store(static_cast<std::uint64_t>(OpStatus::done));
+    d_.op.store(OpDesc::word(seq_, kind_, OpStatus::done));
     if (persisted_) {
       pmem::flush(&d_);
       pmem::fence();
@@ -202,13 +222,13 @@ class DetectableOp {
   // Mutant::drop_msync: in the mmap backend the commit's pwb/pfence/
   // psync mapping orders the response before the durable "done"
   // record.  A SIGKILL cannot reorder one thread's stores, so this
-  // emulates the reorder eliding it permits: status, a persistence
+  // emulates the reorder eliding it permits: the done word, a persistence
   // boundary (where an armed kill lands), then the response — a
   // durable done-with-stale-response the kill verifier must flag.
   // Out of line and cold, so commit() keeps its size.
   [[gnu::cold, gnu::noinline]] void commit_reordered(bool ok,
                                                      std::uint64_t result) {
-    d_.status.store(static_cast<std::uint64_t>(OpStatus::done));
+    d_.op.store(OpDesc::word(seq_, kind_, OpStatus::done));
     if (persisted_) {
       pmem::flush(&d_);
       pmem::psync();
@@ -220,6 +240,8 @@ class DetectableOp {
   }
 
   OpDesc& d_;
+  std::uint64_t seq_;
+  OpKind kind_;
   PersistProfile profile_;
   bool persisted_;
   bool committed_ = false;

@@ -15,11 +15,12 @@
 //   op_end(ok, result, read_only)       — operation response decided
 //
 // The algorithm itself lives in HarrisOps: static functions over an
-// explicit (head, tail) *segment* — a head sentinel, a tail sentinel,
-// and the chain between them.  HarrisListCore runs them over its single
-// segment; the Harris-Michael hash map (hm_hashtable.hpp) runs them
-// over one segment per bucket, sharing one policy and one tail
-// sentinel, so every persistence transformation transfers to the hash
+// explicit *segment* — a start node, a tail sentinel, and the chain
+// between them.  HarrisListCore runs them over its single segment from
+// its head sentinel; the split-ordered hash map (hm_hashtable.hpp) runs
+// them over one flat list from a bucket's dummy node, ordering nodes by
+// a split-order key instead of the announced one and sharing one
+// policy, so every persistence transformation transfers to the hash
 // map without a line of new CAS logic.
 //
 // baselines::HarrisList instantiates the core with the no-op policy;
@@ -40,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -64,14 +66,43 @@ struct ListNode {
 
 // ---------------------------------------------------------------------
 // The algorithm layer: Harris search/insert/erase/find over one
-// (head, tail) segment.  Each entry point brackets itself with the
-// policy's op_start/op_end and an epoch guard, so a caller owning many
-// segments (the hash map) announces exactly one operation per call —
-// the detectability contract is per *operation*, not per segment.
+// segment.  Each entry point brackets itself with the policy's
+// op_start/op_end and an epoch guard, so a caller that starts searches
+// at many places (the hash map) announces exactly one operation per
+// call — the detectability contract is per *operation*, not per
+// segment.
+//
+// Where a search starts is the `At` parameter, passed by value.  The
+// flat list passes its head node.  The split-ordered hash map
+// (hm_hashtable.hpp) passes a locator with three members:
+//   order(key)          — the node key `key` is stored and searched
+//                         under;
+//   start()             — the node a search begins at, and restarts
+//                         from after an unsettled result;
+//   settled(start, l)   — whether an update may act on a search that
+//                         began at `start` and ended with predecessor
+//                         `l`; false restarts the search from start().
+// A head node is the identity on all three (kFlat below), so the flat
+// list compiles to the code its (head, tail) signature did.
 // ---------------------------------------------------------------------
-template <typename Policy, typename Reclaimer = mem::EbrReclaimer>
+template <typename Policy, typename Reclaimer = mem::EbrReclaimer,
+          typename At = ListNode*>
 struct HarrisOps {
   using Node = ListNode;
+
+  static constexpr bool kFlat = std::is_same_v<At, Node*>;
+  static std::int64_t order_of(const At& at, std::int64_t key) {
+    if constexpr (kFlat) return key;
+    else return at.order(key);
+  }
+  static Node* start_of(const At& at) {
+    if constexpr (kFlat) return at;
+    else return at.start();
+  }
+  static bool settled_at(const At& at, const Node* start, const Node* left) {
+    if constexpr (kFlat) return true;
+    else return at.settled(start, left);
+  }
 
   static bool is_marked(Node* p) {
     return (reinterpret_cast<std::uintptr_t>(p) & 1u) != 0;
@@ -85,21 +116,21 @@ struct HarrisOps {
                                    ~std::uintptr_t{1});
   }
 
-  static bool insert(Node* head, Node* tail, Policy& policy,
-                     std::int64_t key) {
+  static bool insert(At at, Node* tail, Policy& policy, std::int64_t key) {
     typename Reclaimer::Guard guard;
     policy.op_start(OpKind::insert, key, false);
+    const std::int64_t okey = order_of(at, key);
     Node* node = nullptr;
     bool ok = false;
     while (true) {
       Node* left = nullptr;
-      Node* right = search(head, tail, policy, guard, key, &left);
-      if (right != tail && right->key == key) {
+      Node* right = search(at, tail, policy, guard, okey, &left);
+      if (right != tail && right->key == okey) {
         ok = false;
         break;
       }
       if (node == nullptr) {
-        node = Reclaimer::template create<Node>(key, nullptr);
+        node = Reclaimer::template create<Node>(okey, nullptr);
       }
       node->next.store(right, std::memory_order_relaxed);
       // Persist the initialised node before any durable link to it can
@@ -120,15 +151,15 @@ struct HarrisOps {
     return ok;
   }
 
-  static bool erase(Node* head, Node* tail, Policy& policy,
-                    std::int64_t key) {
+  static bool erase(At at, Node* tail, Policy& policy, std::int64_t key) {
     typename Reclaimer::Guard guard;
     policy.op_start(OpKind::erase, key, false);
+    const std::int64_t okey = order_of(at, key);
     bool ok = false;
     while (true) {
       Node* left = nullptr;
-      Node* right = search(head, tail, policy, guard, key, &left);
-      if (right == tail || right->key != key) {
+      Node* right = search(at, tail, policy, guard, okey, &left);
+      if (right == tail || right->key != okey) {
         ok = false;
         break;
       }
@@ -157,20 +188,21 @@ struct HarrisOps {
     return ok;
   }
 
-  static bool find(Node* head, Node* tail, Policy& policy,
-                   std::int64_t key) {
+  static bool find(At at, Node* tail, Policy& policy, std::int64_t key) {
     typename Reclaimer::Guard guard;
     policy.op_start(OpKind::find, key, true);
+    const std::int64_t okey = order_of(at, key);
     Node* left = nullptr;
-    Node* right = search(head, tail, policy, guard, key, &left);
-    const bool ok = (right != tail && right->key == key);
+    Node* right = search(at, tail, policy, guard, okey, &left);
+    const bool ok = (right != tail && right->key == okey);
     policy.op_end(ok, ok ? 1 : 0, true);
     return ok;
   }
 
   // Harris search: returns the first unmarked node with key >= `key`
   // and its unmarked predecessor, unlinking (and retiring) any marked
-  // chain in between.
+  // chain in between.  A predecessor that `at` does not settle restarts
+  // the search before any CAS on it.
   //
   // Under a hazard-pointer reclaimer (Guard::kHazards) every step runs
   // the protect/validate protocol: the candidate is published in a
@@ -182,10 +214,11 @@ struct HarrisOps {
   // the node a link was read *from* stays protected while the node it
   // points *to* is validated.  Epoch reclaimers compile all of it out
   // (kHazards == false).
-  static Node* search(Node* head, Node* tail, Policy& policy,
+  static Node* search(At at, Node* tail, Policy& policy,
                       typename Reclaimer::Guard& guard,
                       std::int64_t key, Node** left_node) {
     (void)guard;
+    Node* head = start_of(at);
     while (true) {
       Node* left = head;
       Node* left_next = head->next.load(std::memory_order_acquire);
@@ -226,6 +259,10 @@ struct HarrisOps {
         policy.visit(t, is_marked(t_next));
       } while (is_marked(t_next) || t->key < key);
       if (restart) continue;
+      if (!settled_at(at, head, left)) {
+        head = start_of(at);
+        continue;
+      }
       Node* right = t;
 
       // Phase 2: adjacent — done, unless right got marked meanwhile.

@@ -57,10 +57,11 @@ class IsbPolicy {
   // contents must be durable before any durable pointer to it exists,
   // or a crash could leave a link into never-persisted memory.  Both
   // profiles pay the pwb+pfence here — it is not one of the redundant
-  // instructions the optimized placement may elide.
+  // instructions the optimized placement may elide.  Nor does the
+  // read-only optimization skip it: the one node a read publishes is a
+  // hash-map bucket's dummy (hm_hashtable.hpp), which later updates
+  // link through.
   void pre_publish(const void* node) {
-    const PerThread& t = tls_[thread_slot()];
-    if (t.read_only && opt_.read_only_opt) return;
     pmem::flush(node);
     pmem::fence();
   }

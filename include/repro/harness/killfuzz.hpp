@@ -93,9 +93,9 @@ inline const std::vector<Family>& all_families() {
 // Family dispatch: calls fn with a null pointer of the family's
 // structure type.  The hash map drives like the lists — the identical
 // insert/erase/find + recover surface, with each lane's key span
-// scattered across buckets by the map's hash — and its whole bucket
-// directory is carved from the arena at construction, so a fresh
-// verifier walks it through the same fixed-base pointers.
+// scattered across buckets by the map's hash — and its list, dummies
+// and directory segments are all carved from the arena, so a fresh
+// verifier walks them through the same fixed-base pointers.
 template <typename Fn>
 decltype(auto) visit_family(Family f, Fn&& fn) {
   switch (f) {

@@ -361,7 +361,7 @@ namespace detail {
 // environment variable rather than a per-spec field.  Clamped to the
 // core's supported range; unset/garbage keeps the default.
 inline int hm_bucket_bits() {
-  int bits = 13;  // 8192 buckets
+  int bits = 0;  // 1 bucket; the map grows it
   if (const char* v = std::getenv("REPRO_HM_BUCKET_BITS")) {
     const long parsed = std::atol(v);
     if (parsed >= 0 && parsed <= 15) bits = static_cast<int>(parsed);

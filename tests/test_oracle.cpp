@@ -172,6 +172,43 @@ TEST(Oracle, InFlightOpDoneWithTheWrongResponseIsAViolation) {
             "");
 }
 
+// A SIGKILL on another lane's instruction can land between two plain
+// stores of this lane's next announcement.  The descriptor folds seq,
+// kind and status into one word stored first, so the image it leaves
+// after that first store names op J+1 — an erase here — as pending,
+// never as done with op J's response.  The kill verifier, which trusts
+// the announcement, accepts it: the untouched contents are the model
+// without the in-flight effect, whatever key op J left behind.
+TEST(Oracle, AnnouncementTornAfterItsFirstStoreIsNotACompletedOp) {
+  pmem::ModeGuard mode(pmem::Mode::count_only);
+  ds::AnnouncementBoard board;
+  const int slot = ds::thread_slot();
+  const ds::Recovered base = board.recover(slot);
+  {
+    ds::DetectableOp j(board, OpKind::insert, 5,
+                      ds::PersistProfile::general);
+    j.commit(true, 1);
+  }
+  const std::vector<LaneOp> done = {
+      op(board.recover(slot).seq, OpKind::insert, 5, true, 1)};
+  // Op J+1's announcement, cut after its first store.
+  board.mine().op.store(ds::OpDesc::word(done.back().board_seq + 1,
+                                         OpKind::erase,
+                                         ds::OpStatus::pending));
+  const ds::Recovered torn = board.recover(slot);
+  EXPECT_EQ(torn.seq, done.back().board_seq + 1);
+  EXPECT_EQ(torn.kind, OpKind::erase);
+  EXPECT_FALSE(torn.completed) << "op J+1 judged done with op J's response";
+  const auto v = oracle::judge_lane(base, done, torn, InFlight::unknown);
+  ASSERT_EQ(v.verdict, Verdict::may) << v.what;
+  oracle::Contents model;
+  ASSERT_EQ(oracle::replay(model, done), "");
+  const LaneOp announced{0, torn.kind, torn.key, false, 0, true};
+  EXPECT_EQ(oracle::judge_contents(model, v, &announced,
+                                   oracle::Contents::walked({5}, {})),
+            "");
+}
+
 TEST(Oracle, FifoModelChecksResponsesAndDuplicates) {
   oracle::Contents model;
   const std::vector<LaneOp> done = {op(1, OpKind::enqueue, 11, true, 11),
