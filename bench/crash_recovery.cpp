@@ -1,4 +1,6 @@
-// Crash engine driver: three specs over the shared experiment engine.
+// Crash engine driver: the crash-fuzz families, the reclaimer
+// throughput grid and the persistence-backend overhead grid, all specs
+// over the shared experiment engine.
 //
 //   crash-fuzz       — the crash-point fuzzer (harness/crashfuzz.hpp)
 //                      over every registered trait:detectable
@@ -54,10 +56,6 @@
 //                      structure.
 //   reclaim-matrix   — throughput of the structure x reclaimer x mode
 //                      grid (the BENCH_PR10 perf trajectory).
-//   crash-lists/-q   — the PR2 wall-clock crash scenario kept as a
-//                      regression point: multi-threaded workload,
-//                      crash at an operation boundary, recover()
-//                      replay per thread.
 //   shadow-overhead  — per-backend persistence cost vs. count_only
 //                      for the Isb list and queue at 1 and 8 threads:
 //                      shadow (interception + write log) and mmap
@@ -70,21 +68,20 @@
 // reruns the exact iteration sequence (iteration seeds derive from
 // {REPRO_SEED, iteration}); tests/test_crash_engine.cpp shows the
 // single-iteration fuzz_one() replay of one {seed, crash_point} pair.
-// A chain-fuzz reproducer additionally carries a crash_chain array;
-// replay it with CrashPlan::replay_chain (tests/test_corpus.cpp).
+// The scenario figures derive their iteration seeds the same way, so
+// a reproducer of another family replays under its own figure with
+// the matching points knob, e.g.
+//   REPRO_SEED=<base_seed> REPRO_CHAIN_POINTS=<points> ./crash_recovery \
+//     --benchmark_filter='^chain-fuzz/<structure>/'
+// (tdeath-fuzz, stall-fuzz and reclaim-fuzz likewise).  A chain-fuzz
+// reproducer additionally carries a crash_chain array; replay it with
+// CrashPlan::replay_chain (tests/test_corpus.cpp).
 //
 // REPRO_RECLAIMER=<ebr|hp|pop> narrows every fuzz-family figure to the
 // structures of one reclamation scheme (the CI matrix legs).
-//
-// REPRO_SCENARIO=<single-crash|repeated-crash|thread-death|
-// stalled-thread|reclaim-crash> retargets the base crash-fuzz /
-// conc-fuzz figures at
-// a different scenario family (the dedicated chain/tdeath/stall
-// figures are usually more convenient; the override exists for
-// replaying a reproducer under the exact figure name CI reported).
-#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -120,24 +117,6 @@ int main(int argc, char** argv) {
   conc.structures = {"trait:detectable"};
   conc.conc_plan.points = env_points("REPRO_CONC_FUZZ_POINTS", 100);
   conc.conc_plan.threads = env_points("REPRO_CONC_FUZZ_THREADS", 3);
-
-  // REPRO_SCENARIO retargets the two base fuzz figures (reproducer
-  // replay under the figure name CI reported); the dedicated scenario
-  // figures below are the normal way to run the families.
-  if (const char* sc = std::getenv("REPRO_SCENARIO");
-      sc != nullptr && sc[0] != '\0') {
-    ScenarioKind kind = ScenarioKind::single_crash;
-    if (!scenario_from_name(sc, kind)) {
-      std::fprintf(stderr, "repro: unknown REPRO_SCENARIO '%s'\n", sc);
-      return 2;
-    }
-    if (kind == ScenarioKind::repeated_crash ||
-        kind == ScenarioKind::reclaim_crash) {
-      fuzz.crash_plan.scenario = kind;
-    } else if (kind != ScenarioKind::single_crash) {
-      conc.conc_plan.scenario = kind;
-    }
-  }
 
   ExperimentSpec chain;
   chain.figure = "chain-fuzz";
@@ -201,27 +180,22 @@ int main(int argc, char** argv) {
                    repro::pmem::Mode::shadow};
 
   // One reclamation scheme at a time (the CI fuzz legs): narrow every
-  // fuzz family to the structures carrying that scheme's trait.
+  // fuzz family to the structures carrying that scheme's trait.  The
+  // reclaim matrix names the other schemes' entries too; they narrow
+  // to nothing and are dropped rather than reported as typos.
   if (const std::string rf = detail::reclaimer_filter(); !rf.empty()) {
     const std::string atom = "&trait:reclaimer-" + rf;
     for (ExperimentSpec* spec :
          {&fuzz, &chain, &conc, &tdeath, &stall, &reclaim}) {
-      for (std::string& sel : spec->structures) sel += atom;
+      std::vector<std::string> narrowed;
+      for (const std::string& sel : spec->structures) {
+        if (!Registry::instance().select(sel + atom).empty()) {
+          narrowed.push_back(sel + atom);
+        }
+      }
+      spec->structures = std::move(narrowed);
     }
   }
-
-  ExperimentSpec lists;
-  lists.figure = "crash-lists";
-  lists.what = "detectable recovery after a mid-interval crash (lists)";
-  lists.structures = {"Isb", "Isb-Opt", "DT-Opt"};
-  lists.key_ranges = {500};
-  lists.mixes = {kUpdateIntensive};
-  lists.crash_after_ms = 30;
-
-  ExperimentSpec queues = lists;
-  queues.figure = "crash-queues";
-  queues.what = "detectable recovery after a mid-interval crash (queues)";
-  queues.structures = {"trait:paper-queue"};  // non-detectable are skipped
 
   ExperimentSpec overhead;
   overhead.figure = "shadow-overhead";
@@ -242,6 +216,5 @@ int main(int argc, char** argv) {
 
   return repro::bench::experiment_main(
       argc, argv,
-      {fuzz, chain, conc, tdeath, stall, reclaim, lists, queues,
-       overhead, rmatrix});
+      {fuzz, chain, conc, tdeath, stall, reclaim, overhead, rmatrix});
 }

@@ -99,8 +99,8 @@ inline const char* scenario_name(ScenarioKind k) {
   }
 }
 
-// REPRO_SCENARIO parsing (bench drivers).  Returns false on an
-// unknown name, leaving `out` untouched.
+// The inverse of scenario_name (corpus entries name their scenario).
+// Returns false on an unknown name, leaving `out` untouched.
 inline bool scenario_from_name(const std::string& name,
                                ScenarioKind& out) {
   for (ScenarioKind k :

@@ -1,45 +1,24 @@
 // The experiment engine: a declarative ExperimentSpec names a figure's
 // grid — structures (registry names, globs, or trait selectors), key
 // ranges, operation mixes, thread series, pmem modes, key distribution,
-// and an optional crash schedule — and the driver expands it, runs each
+// and an optional crash-fuzz plan — and the driver expands it, runs each
 // point through run_threads, and emits self-contained rows to the
 // configured ResultSinks.  A figure binary is therefore a spec literal
 // plus one experiment_main() call (bench/bench_common.hpp); nothing
 // re-implements the grid by hand.
 //
-// Crash-recovery scenario (crash_after_ms > 0): workers run the normal
-// workload; at the crash point the run stops, modelling a cache-erasing
-// crash with one operation in flight per thread (announced in the
-// thread's program state, never applied to the structure — in this
-// simulation every completed store already reached its DRAM-backed home
-// location, which is exactly the paper's persistency model after the
-// flush/fence placement the policies issue).  The driver then replays
-// every thread's AnnouncementBoard::recover() and verifies
-// detectability: the last completed operation must be reported
-// completed-with-response (kind, key, ok, and result all matching what
-// the thread observed), and the in-flight operation must be reported
-// not-applied (the descriptor still shows the previous sequence
-// number).  The recover()-replay wall time is reported as recovery
-// latency.
-//
-// Scope of the model: the crash lands at an operation boundary, so the
-// in-flight operation was never announced on the *board* — the
-// not-applied verdict here checks that completed operations leave
-// exactly one trace (a descriptor that over-counted seq would fail
-// it).  The announced-but-uncommitted descriptor state (a crash
-// between announce and commit) cannot be produced through the
-// type-erased structure API; that half of the protocol is pinned at
-// the descriptor level by test_detectable's
-// UncommittedOpReportsIncomplete.
+// Crash scenarios are the crash-point fuzzers (crashfuzz.hpp): a spec
+// with crash_plan.points > 0 (one lane) or conc_plan.points > 0
+// (racing lanes) turns every selected trait:detectable structure into
+// one fuzz point, and the row reports its violations and mean
+// recovery latency.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,10 +64,9 @@ struct ExperimentSpec {
   double zipf_theta = 0.99;
   int prefill_pct = -1;          // < 0 → REPRO_PREFILL_PCT / 40
   std::size_t queue_prefill = 0;  // 0 → REPRO_QUEUE_PREFILL / 100000
-  int crash_after_ms = 0;  // > 0 → crash-recovery scenario points
   // Crash-point fuzzing (crashfuzz.hpp): plan.points > 0 turns every
   // selected trait:detectable structure into one single-threaded
-  // shadow-NVM fuzz point.  Mutually exclusive with crash_after_ms.
+  // shadow-NVM fuzz point.
   CrashPlan crash_plan;
   // Concurrent crash-point fuzzing with the durable-linearizability
   // checker: conc_plan.points > 0 turns every selected
@@ -126,8 +104,8 @@ inline int spec_errors() {
 }
 
 // The structures a spec actually runs: selector matches, minus the
-// entries a crash schedule cannot model (crash scenarios require the
-// announcement-board recovery protocol on sets/queues).  Unmatched
+// entries a crash-fuzz plan cannot verify (they do not speak the
+// announcement-board recovery protocol).  Unmatched
 // selectors are diagnosed here and counted as spec errors; pass
 // diagnose=false when re-querying a spec that expand() already checked.
 inline std::vector<const AlgoEntry*> selected_structures(
@@ -147,11 +125,6 @@ inline std::vector<const AlgoEntry*> selected_structures(
   }
   std::vector<const AlgoEntry*> out;
   for (const AlgoEntry* algo : reg.select_all(spec.structures)) {
-    if (spec.crash_after_ms > 0 &&
-        (!algo->has_trait("detectable") ||
-         (algo->kind != Kind::set && algo->kind != Kind::queue))) {
-      continue;
-    }
     // The fuzzers cover every kind, but only structures speaking the
     // announcement-board protocol can be verified.
     if ((spec.is_crash_fuzz() || spec.is_conc_fuzz()) &&
@@ -240,9 +213,6 @@ inline std::string point_scenario(const ExperimentSpec& spec,
   } else {
     s = spec.figure;
   }
-  if (spec.crash_after_ms > 0) {
-    s += " crash@" + std::to_string(spec.crash_after_ms) + "ms";
-  }
   if (spec.is_crash_fuzz()) {
     s += " fuzz=" + std::to_string(spec.crash_plan.points);
     if (spec.crash_plan.scenario != ScenarioKind::single_crash) {
@@ -270,7 +240,6 @@ inline std::string point_crash_scenario(const ExperimentSpec& spec) {
   if (spec.is_conc_fuzz()) {
     return scenario_name(spec.conc_plan.scenario);
   }
-  if (spec.crash_after_ms > 0) return "timed-stop";
   return "";
 }
 
@@ -319,143 +288,8 @@ inline std::uint64_t points_run() {
   return detail::point_counter().load(std::memory_order_relaxed);
 }
 
-// What one crash-scenario point measured and verified.
-struct CrashReport {
-  RunResult run;       // throughput/counters up to the crash
-  int completed = 0;   // threads whose last op recovered with response
-  int not_applied = 0;  // in-flight intents confirmed left no trace
-  int mismatches = 0;  // detectability violations (must be 0)
-  double recovery_us = 0;  // wall time of the recover() replay
-};
-
-// Runs the crash-recovery scenario on one (detectable set/queue) point.
-inline CrashReport run_crash_point(const ExperimentSpec& spec,
-                                   const Point& p) {
-  CrashReport rep;
-  auto holder = p.algo->make();
-  Structure* s = holder.get();
-
-  // Guard against a trait/adapter mismatch (e.g. a registration tagged
-  // "detectable" whose recover(int) is not const-qualified, so the
-  // adapter's concept check failed): that is a configuration error, not
-  // a detectability violation, and deserves a distinct message.
-  if (!s->detectable()) {
-    std::fprintf(stderr,
-                 "repro: %s is tagged 'detectable' but its adapter "
-                 "exposes no recovery protocol (is recover(int) const?)"
-                 "\n",
-                 p.algo->name.c_str());
-    rep.mismatches = 1;
-    return rep;
-  }
-
-  struct OpRecord {
-    std::uint64_t seq = 0;
-    ds::OpKind kind = ds::OpKind::none;
-    std::int64_t key = 0;
-    bool ok = false;
-    std::uint64_t result = 0;
-  };
-  struct alignas(64) ThreadLog {
-    int slot = -1;
-    OpRecord last;
-  };
-  std::vector<ThreadLog> logs(static_cast<std::size_t>(p.threads));
-
-  const bool is_set = p.algo->kind == Kind::set;
-  SetIface* set = is_set ? static_cast<SetIface*>(s) : nullptr;
-  QueueIface* queue = is_set ? nullptr : static_cast<QueueIface*>(s);
-  // Queue crash points drive their own 50/50 enqueue/dequeue split and
-  // have no workload of their own.
-  std::optional<Workload> w;
-  if (is_set) {
-    w = Workload(p.key_range, p.mix, spec.dist, spec.zipf_theta);
-    prefill(*set, p.key_range, spec.prefill_pct);
-  } else {
-    const std::size_t pre = detail::resolve_queue_prefill(spec);
-    for (std::size_t i = 0; i < pre; ++i) {
-      queue->enqueue(static_cast<std::uint64_t>(i));
-    }
-  }
-
-  rep.run = run_threads(
-      p.threads,
-      [&](int tid, Rng& rng) {
-        ThreadLog& log = logs[static_cast<std::size_t>(tid)];
-        if (log.slot < 0) log.slot = ds::thread_slot();
-        OpRecord rec;
-        rec.seq = log.last.seq + 1;
-        if (is_set) {
-          rec.key = w->pick_key(rng);
-          switch (w->pick_op(rng)) {
-            case OpType::insert:
-              rec.kind = ds::OpKind::insert;
-              rec.ok = set->insert(rec.key);
-              break;
-            case OpType::erase:
-              rec.kind = ds::OpKind::erase;
-              rec.ok = set->erase(rec.key);
-              break;
-            case OpType::find:
-              rec.kind = ds::OpKind::find;
-              rec.ok = set->find(rec.key);
-              break;
-          }
-          rec.result = rec.ok ? 1 : 0;
-        } else if (rng.below(2) == 0) {
-          const std::uint64_t v = rng.next() >> 1;
-          queue->enqueue(v);
-          rec.kind = ds::OpKind::enqueue;
-          rec.key = static_cast<std::int64_t>(v);
-          rec.ok = true;
-          rec.result = v;
-        } else {
-          std::uint64_t out = 0;
-          rec.ok = queue->dequeue(out);
-          rec.kind = ds::OpKind::dequeue;
-          rec.key = 0;
-          rec.result = out;
-        }
-        log.last = rec;
-      },
-      spec.crash_after_ms);
-
-  // The crash happened: replay recovery for every thread and verify
-  // detectability (see the header comment for the crash model).
-  const auto t0 = std::chrono::steady_clock::now();
-  for (const ThreadLog& log : logs) {
-    if (log.slot < 0) continue;  // thread never completed an operation
-    const ds::Recovered rec = s->recover(log.slot);
-    // The in-flight operation (seq last+1) must have left no trace.
-    const bool intent_clear = rec.seq == log.last.seq;
-    if (log.last.seq == 0) {
-      if (intent_clear && !rec.completed) {
-        ++rep.not_applied;
-      } else {
-        ++rep.mismatches;
-      }
-      continue;
-    }
-    const bool match = rec.completed && intent_clear &&
-                       rec.kind == log.last.kind &&
-                       rec.key == log.last.key &&
-                       rec.ok == log.last.ok &&
-                       rec.result == log.last.result;
-    if (match) {
-      ++rep.completed;
-      ++rep.not_applied;
-    } else {
-      ++rep.mismatches;
-    }
-  }
-  rep.recovery_us = std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  return rep;
-}
-
-// Runs one grid point (normal measurement, crash scenario, or
-// crash-point fuzzing) and returns its self-contained result row.
+// Runs one grid point (normal measurement, or crash-point fuzzing) and
+// returns its self-contained result row.
 inline ResultRow run_point(const ExperimentSpec& spec, const Point& p) {
   ResultRow row;
   row.figure = spec.figure;
@@ -556,72 +390,57 @@ inline ResultRow run_point(const ExperimentSpec& spec, const Point& p) {
   }
 
   pmem::ModeGuard guard(p.mode);
-  if (spec.crash_after_ms > 0) {
-    const CrashReport rep = run_crash_point(spec, p);
-    row.run = rep.run;
-    row.recovery_us = rep.recovery_us;
-    if (rep.mismatches > 0) {
-      detail::crash_failure_cell().fetch_add(rep.mismatches,
-                                             std::memory_order_relaxed);
-      std::fprintf(stderr,
-                   "repro: %s: %d detectability violation(s) after "
-                   "simulated crash\n",
-                   point_name(spec, p).c_str(), rep.mismatches);
+  auto holder = p.algo->make();
+  switch (p.algo->kind) {
+    case Kind::set: {
+      auto* set = static_cast<SetIface*>(holder.get());
+      prefill(*set, p.key_range, spec.prefill_pct);
+      const Workload w(p.key_range, p.mix, spec.dist, spec.zipf_theta);
+      row.run = run_threads(p.threads, [&](int, Rng& rng) {
+        const auto key = w.pick_key(rng);
+        switch (w.pick_op(rng)) {
+          case OpType::insert: detail::keep(set->insert(key)); break;
+          case OpType::erase: detail::keep(set->erase(key)); break;
+          case OpType::find: detail::keep(set->find(key)); break;
+        }
+      });
+      break;
     }
-  } else {
-    auto holder = p.algo->make();
-    switch (p.algo->kind) {
-      case Kind::set: {
-        auto* set = static_cast<SetIface*>(holder.get());
-        prefill(*set, p.key_range, spec.prefill_pct);
-        const Workload w(p.key_range, p.mix, spec.dist,
-                         spec.zipf_theta);
-        row.run = run_threads(p.threads, [&](int, Rng& rng) {
-          const auto key = w.pick_key(rng);
-          switch (w.pick_op(rng)) {
-            case OpType::insert: detail::keep(set->insert(key)); break;
-            case OpType::erase: detail::keep(set->erase(key)); break;
-            case OpType::find: detail::keep(set->find(key)); break;
-          }
-        });
-        break;
+    case Kind::queue: {
+      auto* q = static_cast<QueueIface*>(holder.get());
+      const std::size_t pre = detail::resolve_queue_prefill(spec);
+      for (std::size_t i = 0; i < pre; ++i) {
+        q->enqueue(static_cast<std::uint64_t>(i));
       }
-      case Kind::queue: {
-        auto* q = static_cast<QueueIface*>(holder.get());
-        const std::size_t pre = detail::resolve_queue_prefill(spec);
-        for (std::size_t i = 0; i < pre; ++i) {
-          q->enqueue(static_cast<std::uint64_t>(i));
-        }
-        row.run = run_threads(p.threads, [&](int, Rng& rng) {
-          q->enqueue(rng.next());
+      row.run = run_threads(p.threads, [&](int, Rng& rng) {
+        q->enqueue(rng.next());
+        std::uint64_t out = 0;
+        detail::keep(q->dequeue(out));
+      });
+      break;
+    }
+    case Kind::stack: {
+      auto* st = static_cast<StackIface*>(holder.get());
+      for (int i = 0; i < 1024; ++i) {
+        st->push(static_cast<std::uint64_t>(i));
+      }
+      row.run = run_threads(p.threads, [&](int, Rng& rng) {
+        if (rng.below(2) == 0) {
+          st->push(rng.next());
+        } else {
           std::uint64_t out = 0;
-          detail::keep(q->dequeue(out));
-        });
-        break;
-      }
-      case Kind::stack: {
-        auto* st = static_cast<StackIface*>(holder.get());
-        for (int i = 0; i < 1024; ++i) {
-          st->push(static_cast<std::uint64_t>(i));
+          detail::keep(st->pop(out));
         }
-        row.run = run_threads(p.threads, [&](int, Rng& rng) {
-          if (rng.below(2) == 0) {
-            st->push(rng.next());
-          } else {
-            std::uint64_t out = 0;
-            detail::keep(st->pop(out));
-          }
-        });
-        break;
-      }
-      case Kind::exchanger: {
-        auto* ex = static_cast<ExchangerIface*>(holder.get());
-        row.run = run_threads(p.threads, [&](int, Rng& rng) {
-          std::uint64_t out = 0;
-          detail::keep(ex->exchange(rng.next(), 256, out));
-        });
-        break;
-      }
+      });
+      break;
+    }
+    case Kind::exchanger: {
+      auto* ex = static_cast<ExchangerIface*>(holder.get());
+      row.run = run_threads(p.threads, [&](int, Rng& rng) {
+        std::uint64_t out = 0;
+        detail::keep(ex->exchange(rng.next(), 256, out));
+      });
+      break;
     }
   }
   row.run.point_index =

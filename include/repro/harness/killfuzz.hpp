@@ -405,9 +405,10 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
 
   // Lanes interact through a queue (one lane dequeues another's
   // values), so judgement is two-pass: first every lane's journal
-  // facts and descriptor verdict — an in-flight dequeue may return a
-  // value whose enqueue is in flight on a lane not yet visited — then
-  // each lane against the complete picture.
+  // facts, descriptor verdict and in-flight queue effect — an in-flight
+  // dequeue may return a value whose enqueue is in flight, or
+  // committed, on a lane not yet visited — then each lane against the
+  // complete picture.
   struct LaneView {
     int lane;
     const std::vector<oracle::LaneOp>* ops;
@@ -417,6 +418,8 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
   std::vector<LaneView> lanes;
   std::set<std::uint64_t> enq_done, deq_done;
   std::set<std::uint64_t> inflight_enq;  // pending or committed
+  std::set<std::uint64_t> committed_enq;  // in flight, committed
+  int pending_deq = 0;
   for (const auto& [lane, slot] : j.lane_slot) {
     const auto it = j.ops.find(lane);
     const std::vector<oracle::LaneOp>& ops =
@@ -438,8 +441,18 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
     LaneView lv{lane, &ops,
                 oracle::judge_lane(ds::Recovered{}, ops, s->recover(slot),
                                    oracle::InFlight::unknown)};
-    if (lv.v.in_flight() && lv.v.desc.kind == ds::OpKind::enqueue) {
-      inflight_enq.insert(static_cast<std::uint64_t>(lv.v.desc.key));
+    const ds::Recovered& rec = lv.v.desc;
+    if (kQueue && lv.v.in_flight()) {
+      if (rec.kind == ds::OpKind::enqueue) {
+        const auto v = static_cast<std::uint64_t>(rec.key);
+        inflight_enq.insert(v);
+        if (rec.completed) committed_enq.insert(v);
+      } else if (rec.kind == ds::OpKind::dequeue && !rec.completed) {
+        ++pending_deq;
+      } else if (rec.kind == ds::OpKind::dequeue && rec.ok &&
+                 !deq_done.insert(rec.result).second) {
+        fail("value " + std::to_string(rec.result) + " dequeued twice");
+      }
     }
     lanes.push_back(std::move(lv));
   }
@@ -452,7 +465,6 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
   };
 
   std::set<std::int64_t> attributed;
-  int pending_deq = 0;
   for (const LaneView& lv : lanes) {
     const std::string who = "lane " + std::to_string(lv.lane) + ": ";
     // The lane's key span of the durable walk (lists).
@@ -489,19 +501,20 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
     if (rec.kind == ds::OpKind::enqueue) {
       const auto v = static_cast<std::uint64_t>(rec.key);
       if (rec.completed) {
-        // Enqueue commits (true, value); the effect must be there (or
-        // already consumed by a journaled dequeue).
+        // Enqueue commits (true, value); the effect must be there, or
+        // consumed by a committed dequeue.  A pending dequeue may have
+        // consumed it durably too, which only the global audit below
+        // can weigh.
         if (!rec.ok || rec.result != v) {
           fail(who + "committed in-flight enqueue carries a stale/wrong "
                      "response");
-        } else if (durable_set.count(v) == 0 && deq_done.count(v) == 0) {
+        } else if (durable_set.count(v) == 0 && deq_done.count(v) == 0 &&
+                   pending_deq == 0) {
           fail(who + "committed enqueue's value is durably lost");
         }
       }
     } else if (rec.kind == ds::OpKind::dequeue) {
-      if (!rec.completed) {
-        ++pending_deq;
-      } else if (rec.ok) {
+      if (rec.completed && rec.ok) {
         const std::uint64_t v = rec.result;
         if (enq_done.count(v) == 0 && inflight_enq.count(v) == 0) {
           fail(who + "committed dequeue returned a never-enqueued value "
@@ -509,8 +522,6 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
         } else if (durable_set.count(v) != 0) {
           fail(who + "committed dequeue's value is still durably "
                      "enqueued");
-        } else if (!deq_done.insert(v).second) {
-          fail("value " + std::to_string(v) + " dequeued twice");
         }
       }
     } else {
@@ -544,8 +555,12 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
       break;
     }
   }
+  // Each pending dequeue can account for at most one value that a
+  // journaled or committed in-flight enqueue left neither durable nor
+  // dequeued.
+  committed_enq.insert(enq_done.begin(), enq_done.end());
   int missing = 0;
-  for (std::uint64_t v : enq_done) {
+  for (std::uint64_t v : committed_enq) {
     if (deq_done.count(v) == 0 && durable_set.count(v) == 0) ++missing;
   }
   if (missing > pending_deq) {

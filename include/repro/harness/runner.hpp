@@ -125,10 +125,10 @@ void prefill(Set& set, std::int64_t key_range, int percent = -1) {
   }
 }
 
-// Runs `body(tid, rng)` in a loop on `threads` threads for `run_ms`
-// milliseconds (0 → bench_ms()).
+// Runs `body(tid, rng)` in a loop on `threads` threads for bench_ms()
+// milliseconds.
 template <typename Body>
-RunResult run_threads(int threads, Body&& body, int run_ms = 0) {
+RunResult run_threads(int threads, Body&& body) {
   struct alignas(64) Slot {
     std::uint64_t ops = 0;
     pmem::Counters counters;
@@ -170,8 +170,7 @@ RunResult run_threads(int threads, Body&& body, int run_ms = 0) {
 
   const auto t0 = std::chrono::steady_clock::now();
   start.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(
-      std::chrono::milliseconds(run_ms > 0 ? run_ms : bench_ms()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(bench_ms()));
   stop.store(true, std::memory_order_release);
   const auto t1 = std::chrono::steady_clock::now();
   for (auto& w : workers) w.join();

@@ -52,7 +52,7 @@ struct ResultRow {
   int crash_points = -1;      // crash-fuzz only; < 0 → n/a
   int crash_violations = -1;  // crash-fuzz only; < 0 → n/a
   // Crash-scenario family name ("single-crash", "repeated-crash",
-  // "thread-death", "stalled-thread", "timed-stop"); "" for plain
+  // "thread-death", "stalled-thread", "reclaim-crash"); "" for plain
   // measurement points.
   std::string crash_scenario;
   // Reclamation scheme behind the structure ("ebr", "hp", "pop",

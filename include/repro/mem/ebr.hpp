@@ -1,9 +1,11 @@
-// Epoch-based reclamation (EBR) for the lock-free structures.
+// Epoch-based reclamation for the lock-free structures: one epoch
+// engine, two freshness rules (EBR and POP), and the pooled facade that
+// every scheme — these two and hazard pointers (hp.hpp) — plugs into.
 //
-// The classic three-epoch scheme (Fraser '04, the same shape as the
-// setbench record managers): a global epoch counter, one announcement
-// word per thread slot, and three per-slot limbo lists.  Every
-// structure operation runs inside a Guard that announces the current
+// The engine is the classic three-epoch scheme (Fraser '04, the same
+// shape as the setbench record managers): a global epoch counter, one
+// announcement word per thread slot, and three per-slot limbo lists.
+// Every structure operation runs inside a Guard that announces an
 // epoch; a physically-unlinked node is retired into the limbo list
 // tagged with the epoch at retire time, and a list tagged `t` may be
 // reclaimed once the global epoch reaches `t + 2` — by then every guard
@@ -31,13 +33,24 @@
 // path of every single op in the shared-cache model (~20% of
 // throughput, measured).  Guards therefore stay *pinned between
 // operations*: exit only decrements the nesting depth, and entry
-// re-announces (the expensive store) only when the global epoch moved
-// or the slot was explicitly released.  The steady-state guard is two
-// relaxed loads and a branch.  The trade-off is that an idle pinned
-// thread stalls advancement (never safety) until it runs another
-// operation, exits, or calls release_pin() — run_threads releases the
-// driving thread's pin before each measured interval, and a thread's
-// pin is cleared automatically at thread exit.
+// re-announces (the expensive store) only when the pin is stale.  An
+// idle pinned thread stalls advancement (never safety) until it runs
+// another operation, exits, or calls release_pin() — run_threads
+// releases the driving thread's pin before each measured interval, and
+// a thread's pin is cleared automatically at thread exit.
+//
+// What "stale" means is the one thing the two schemes differ in — the
+// freshness rule, the engine's template parameter:
+//   - Freshness::read_epoch (EBR, EpochDomain): the outermost guard
+//     entry re-reads the global epoch and re-announces when it moved.
+//     Steady state: one shared load, one slot-local load, a branch.
+//   - Freshness::on_ping (POP, PopDomain in pop.hpp): the guard reads
+//     only slot-local words and re-announces when the slot is quiescent
+//     or try_advance has pinged it for lagging.
+// Everything else — limbo lists, grace = two advances, the
+// pause-parking, advance/quiesce, the parked-cell walk, the drain hook
+// and the exit cleanup — is this one copy, so the scheme matrix
+// isolates exactly one variable.
 //
 // Memory-order note: re-announcement stores and the epoch counter use
 // seq_cst.  The reclaim path then has a full happens-before chain to
@@ -49,6 +62,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -89,10 +103,15 @@ inline constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
 inline constexpr int kEpochLists = 3;
 inline constexpr int kAdvanceEvery = 64;  // retires between advance scans
 
-class EpochDomain {
+enum class Freshness { read_epoch, on_ping };
+
+template <Freshness F>
+class EpochEngine {
+  static constexpr bool kPing = F == Freshness::on_ping;
+
  public:
-  static EpochDomain& instance() {
-    static EpochDomain d;
+  static EpochEngine& instance() {
+    static EpochEngine d;
     return d;
   }
 
@@ -100,25 +119,35 @@ class EpochDomain {
   struct Slot;
 
  public:
-  // RAII critical section: pins the current epoch for this thread slot.
+  // RAII critical section: pins an epoch for this thread slot.
   // Re-entrant (an operation may nest another guarded operation, e.g.
   // the elimination stack calling into the exchanger).  The pin is NOT
-  // dropped on destruction — it persists until the next entry observes
-  // a newer epoch, the thread exits, or release_pin() is called — so
-  // back-to-back operations pay no barrier (see the header comment).
+  // dropped on destruction — it persists until the freshness rule
+  // finds it stale on a later entry, the thread exits, or release_pin()
+  // is called — so back-to-back operations pay no barrier.
   class Guard {
    public:
-    Guard() : slot_(EpochDomain::instance().slots_[ds::thread_slot()]) {
+    Guard() : slot_(EpochEngine::instance().slots_[ds::thread_slot()]) {
       if (slot_.depth++ == 0) {
-        EpochDomain& d = EpochDomain::instance();
+        EpochEngine& d = EpochEngine::instance();
         d.arm_exit_cleanup(slot_);
-        const std::uint64_t e = d.epoch_.load(std::memory_order_relaxed);
-        if (slot_.announce.load(std::memory_order_relaxed) != e) {
-          // Epoch moved (or the slot was quiescent): publish with the
-          // full barrier the grace-period argument needs.  A stale
-          // relaxed epoch read only delays this refresh; the pin we
-          // already hold keeps the old epoch's guarantee meanwhile.
-          slot_.announce.store(e, std::memory_order_seq_cst);
+        if constexpr (kPing) {
+          if (slot_.announce.load(std::memory_order_relaxed) ==
+                  kQuiescent ||
+              slot_.ping.load(std::memory_order_relaxed) != 0) {
+            slot_.ping.store(0, std::memory_order_relaxed);
+            slot_.announce.store(d.epoch_.load(std::memory_order_relaxed),
+                                 std::memory_order_seq_cst);
+          }
+        } else {
+          const std::uint64_t e = d.epoch_.load(std::memory_order_relaxed);
+          if (slot_.announce.load(std::memory_order_relaxed) != e) {
+            // Epoch moved (or the slot was quiescent): publish with the
+            // full barrier the grace-period argument needs.  A stale
+            // relaxed epoch read only delays this refresh; the pin we
+            // already hold keeps the old epoch's guarantee meanwhile.
+            slot_.announce.store(e, std::memory_order_seq_cst);
+          }
         }
       }
     }
@@ -127,14 +156,14 @@ class EpochDomain {
     Guard& operator=(const Guard&) = delete;
 
     // Reclaimer-concept hook (see HpDomain::Guard for the real one):
-    // the epoch pin already protects everything reachable, so EBR
-    // needs no per-pointer hazards and kHazards == false lets the
-    // cores compile out the protect/validate re-reads entirely.
+    // the epoch pin already protects everything reachable, so epoch
+    // schemes need no per-pointer hazards and kHazards == false lets
+    // the cores compile out the protect/validate re-reads entirely.
     static constexpr bool kHazards = false;
     void protect(int, const void*) {}
 
    private:
-    EpochDomain::Slot& slot_;
+    Slot& slot_;
   };
 
   // Drop this thread's epoch pin (outside any Guard only): advancement
@@ -231,14 +260,28 @@ class EpochDomain {
 
   // One amortised advancement step: move the global epoch forward iff
   // every pinned thread has announced it.  Returns true on advance.
+  // Under read_epoch a lagging slot notices the moved epoch by itself
+  // on its next entry; under on_ping the scan must *tell* it to
+  // refresh.  The seq_cst ping store orders with the slot's next guard
+  // entry, whose refresh re-establishes the happens-before chain EBR
+  // gets from re-reading the global epoch.
   bool try_advance() {
     if (reclaim_paused()) return false;  // epoch frozen under pause
     std::uint64_t e = epoch_.load(std::memory_order_seq_cst);
+    bool lagging = false;
     for (int i = 0; i < ds::kMaxThreads; ++i) {
       const std::uint64_t a =
           slots_[i].announce.load(std::memory_order_seq_cst);
-      if (a != kQuiescent && a != e) return false;
+      if (a != kQuiescent && a != e) {
+        if constexpr (!kPing) {
+          return false;
+        } else {
+          slots_[i].ping.store(1, std::memory_order_seq_cst);
+          lagging = true;
+        }
+      }
     }
+    if (lagging) return false;
     return epoch_.compare_exchange_strong(e, e + 1,
                                           std::memory_order_seq_cst,
                                           std::memory_order_seq_cst);
@@ -269,8 +312,8 @@ class EpochDomain {
     reclaim_ready(slots_[ds::thread_slot()]);
   }
 
-  EpochDomain(const EpochDomain&) = delete;
-  EpochDomain& operator=(const EpochDomain&) = delete;
+  EpochEngine(const EpochEngine&) = delete;
+  EpochEngine& operator=(const EpochEngine&) = delete;
 
  private:
   struct Retired {
@@ -282,8 +325,14 @@ class EpochDomain {
     std::uint64_t epoch = 0;
     std::vector<Retired> items;
   };
+  struct NoPing {};
   struct alignas(64) Slot {
     std::atomic<std::uint64_t> announce{kQuiescent};
+    // on_ping only: set by try_advance when this slot's announcement
+    // lags the epoch; cleared by the slot's next guard entry, which
+    // re-announces.
+    [[no_unique_address]] std::conditional_t<kPing, std::atomic<std::uint8_t>,
+                                             NoPing> ping{};
     int depth = 0;         // guard nesting (owner thread only)
     int retire_ticks = 0;  // retires since the last advance scan
     Limbo limbo[kEpochLists];
@@ -294,23 +343,21 @@ class EpochDomain {
     std::vector<Retired> parked;
   };
 
-  EpochDomain() {
-    detail::register_reclaimer_hooks(&EpochDomain::walk_parked,
-                                     &EpochDomain::drain_current_slot);
-  }
-
   // Cross-scheme hooks (pool.hpp): the final resume_reclaim drains
   // through these, and the crash-during-reclaim scenario walks every
   // parked cell through them.
+  EpochEngine() {
+    detail::register_reclaimer_hooks(&EpochEngine::walk_parked,
+                                     &EpochEngine::drain_current_slot);
+  }
   static void drain_current_slot(bool quiesce) {
-    EpochDomain& d = instance();
+    EpochEngine& d = instance();
     if (quiesce) return d.quiesce();
     d.try_advance();
     d.reclaim_ready(d.slots_[ds::thread_slot()]);
   }
   static void walk_parked(void* ctx, detail::ParkedVisitor visit) {
-    EpochDomain& d = instance();
-    for (Slot& s : d.slots_) {
+    for (Slot& s : instance().slots_) {
       for (const Limbo& l : s.limbo) {
         for (const Retired& r : l.items) visit(ctx, r.p, r.bytes);
       }
@@ -362,12 +409,13 @@ class EpochDomain {
     }
   }
 
-  // Epoch 0 is never used as a limbo tag's "stale" sentinel problem:
-  // starting at kEpochLists keeps `l.epoch + 2 <= e` exact from the
-  // first retire on.
+  // Starting at kEpochLists rather than 0 keeps `l.epoch + 2 <= e`
+  // exact from the first retire on (a fresh list's tag is 0).
   std::atomic<std::uint64_t> epoch_{kEpochLists};
   Slot slots_[ds::kMaxThreads];
 };
+
+using EpochDomain = EpochEngine<Freshness::read_epoch>;
 
 // RAII reclaim pause (crash-engine iterations, teardown-sensitive
 // tests): retired cells stay intact until the scope ends.
@@ -383,12 +431,14 @@ class ReclaimPause {
 // Reclaimer facades — the template parameter the cores take.
 // ---------------------------------------------------------------------
 
-// The production reclaimer: pool-backed allocation, epoch-protected
-// reclamation.  Structure operations instantiate `Reclaimer::Guard` for
-// their duration; unlinked nodes go through retire<T>() and resurface
-// in the owning pool after their grace period.
-struct EbrReclaimer {
-  using Guard = EpochDomain::Guard;
+// Pool-backed allocation, `Domain`-protected reclamation: the one
+// facade behind EBR, POP (pop.hpp) and HP (hp.hpp).  Structure
+// operations instantiate `Reclaimer::Guard` for their duration;
+// unlinked nodes go through retire<T>() and resurface in the owning
+// pool once `Domain` proves no guard can still reach them.
+template <typename Domain>
+struct PooledReclaimer {
+  using Guard = typename Domain::Guard;
 
   template <typename T, typename... Args>
   static T* create(Args&&... args) {
@@ -404,13 +454,13 @@ struct EbrReclaimer {
   }
 
   // Deferred destruction for published-then-unlinked nodes.  The
-  // cell's lines are made durable *before* it enters limbo
+  // cell's lines are made durable *before* it is parked
   // (persist-before-retire — see detail::persist_retired), so a
   // rewound durable walk can never dereference a torn reclaimed cell.
   template <typename T>
   static void retire(T* p) {
     detail::persist_retired(p, sizeof(T));
-    EpochDomain::instance().retire(
+    Domain::instance().retire(
         p,
         [](void* q) {
           NodePool<T>::instance().destroy(static_cast<T*>(q));
@@ -418,6 +468,9 @@ struct EbrReclaimer {
         sizeof(T));
   }
 };
+
+// The production reclaimer.
+using EbrReclaimer = PooledReclaimer<EpochDomain>;
 
 // The seed's original behaviour, kept as an ablation point: raw `new`
 // per node, unlinked nodes leaked.  Registered under the `-leak`

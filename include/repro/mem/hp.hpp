@@ -25,9 +25,10 @@
 // outermost exit; EBR-style pinning-between-ops does not apply (there
 // is no epoch to pin).
 //
-// Interplay with the rest of mem/: cells come from the same NodePool,
-// retire goes through the same persist-before-retire flush+fence
-// (detail::persist_retired), scans respect the process-wide
+// Interplay with the rest of mem/: HpReclaimer is the same
+// PooledReclaimer facade the epoch schemes use (ebr.hpp), so cells come
+// from the same NodePool and retire goes through the same
+// persist-before-retire flush+fence; scans respect the process-wide
 // ReclaimPause, and the domain registers the cross-scheme drain/walk
 // hooks (pool.hpp) so the final resume_reclaim() flushes HP batches
 // and the crash-during-reclaim scenario sees HP-parked cells.
@@ -186,33 +187,8 @@ class HpDomain {
   Slot slots_[ds::kMaxThreads];
 };
 
-// Reclaimer facade: pool-backed allocation, hazard-pointer protected
-// reclamation.  Same create/destroy/retire surface as EbrReclaimer;
-// the cores additionally call Guard::protect at their traversal steps
-// because kHazards is true.
-struct HpReclaimer {
-  using Guard = HpDomain::Guard;
-
-  template <typename T, typename... Args>
-  static T* create(Args&&... args) {
-    return NodePool<T>::instance().create(std::forward<Args>(args)...);
-  }
-
-  template <typename T>
-  static void destroy(T* p) {
-    NodePool<T>::instance().destroy(p);
-  }
-
-  template <typename T>
-  static void retire(T* p) {
-    detail::persist_retired(p, sizeof(T));
-    HpDomain::instance().retire(
-        p,
-        [](void* q) {
-          NodePool<T>::instance().destroy(static_cast<T*>(q));
-        },
-        sizeof(T));
-  }
-};
+// The pooled facade over hazard pointers; the cores additionally call
+// Guard::protect at their traversal steps because kHazards is true.
+using HpReclaimer = PooledReclaimer<HpDomain>;
 
 }  // namespace repro::mem

@@ -6,11 +6,15 @@
 // deterministic {seed, kill_point} replay, idempotent reopen-twice
 // recovery, and zero violations across a randomized batch per family.
 // The deterministic kill-point sweep, with and without the drop_msync
-// mutant, is the drop_msync row of tests/test_mutants.cpp.
+// mutant, is the drop_msync row of tests/test_mutants.cpp.  The
+// KillVerifier tests run the verifier alone on hand-built images.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -19,6 +23,7 @@
 namespace {
 
 namespace kill = repro::harness::kill;
+namespace ds = repro::ds;
 
 std::string test_heap_path(const char* tag) {
   return "/tmp/repro_kill_test." + std::to_string(::getpid()) + "." +
@@ -51,6 +56,80 @@ bool harness_usable(const std::string& path) {
   if (!harness_usable(path)) {                                         \
     GTEST_SKIP() << "fixed-base mmap unavailable in this environment"; \
   }
+
+// ---------------------------------------------------------------------
+// The verifier on synthetic journals: a hand-built durable image and
+// journal, no heap and no kill, so an image a kill lands on only
+// rarely is pinned exactly.
+// ---------------------------------------------------------------------
+
+// A queue's durable image as the verifier reads it: the durable values
+// and each slot's recovered descriptor.
+struct FakeQueue {
+  std::vector<std::uint64_t> durable;
+  std::map<int, ds::Recovered> desc;  // by slot
+
+  bool snapshot_values(std::vector<std::uint64_t>& out) const {
+    out = durable;
+    return true;
+  }
+  ds::Recovered recover(int slot) const {
+    const auto it = desc.find(slot);
+    return it != desc.end() ? it->second : ds::Recovered{};
+  }
+  ds::DequeueResult dequeue() { return {}; }  // makes it a queue
+};
+
+ds::Recovered enqueue_desc(std::uint64_t seq, std::uint64_t v, bool done) {
+  return {seq, ds::OpKind::enqueue, static_cast<std::int64_t>(v), done,
+          done, done ? v : 0};
+}
+ds::Recovered dequeue_desc(std::uint64_t seq, std::uint64_t v, bool done) {
+  return {seq, ds::OpKind::dequeue, 0, done, done, done ? v : 0};
+}
+
+// Two lanes on slots 0 and 1 with empty journals.
+kill::detail::Journal two_lanes() {
+  kill::detail::Journal j;
+  j.lane_slot = {{0, 0}, {1, 1}};
+  return j;
+}
+
+// Lane 0's in-flight enqueue of 5 committed, and lane 1's in-flight
+// dequeue committed with 5: the value is gone from the image, and that
+// is correct, although lane 0 is judged before lane 1.
+TEST(KillVerifier, CommittedDequeueOnALaterLaneConsumedACommittedEnqueue) {
+  FakeQueue q;
+  q.desc = {{0, enqueue_desc(1, 5, true)}, {1, dequeue_desc(1, 5, true)}};
+  std::string what;
+  EXPECT_EQ(kill::detail::verify(&q, two_lanes(), 2, what), 0) << what;
+}
+
+// A pending dequeue whose head CAS is durable has removed a value too:
+// one lost committed enqueue is within what it may account for.
+TEST(KillVerifier, PendingDequeueMayHaveConsumedACommittedEnqueue) {
+  FakeQueue q;
+  q.desc = {{0, enqueue_desc(1, 5, true)}, {1, dequeue_desc(1, 0, false)}};
+  std::string what;
+  EXPECT_EQ(kill::detail::verify(&q, two_lanes(), 2, what), 0) << what;
+}
+
+// ...but not for two: a journaled enqueue's value is lost as well.
+TEST(KillVerifier, PendingDequeueCannotAccountForTwoLostValues) {
+  FakeQueue q;
+  q.desc = {{0, enqueue_desc(2, 5, true)}, {1, dequeue_desc(1, 0, false)}};
+  kill::detail::Journal j = two_lanes();
+  repro::harness::oracle::LaneOp enq;
+  enq.board_seq = 1;
+  enq.kind = ds::OpKind::enqueue;
+  enq.key = 4;
+  enq.ok = true;
+  enq.result = 4;
+  j.ops[0] = {enq};
+  std::string what;
+  EXPECT_GT(kill::detail::verify(&q, j, 2, what), 0);
+  EXPECT_NE(what.find("durably lost"), std::string::npos) << what;
+}
 
 TEST(KillRecovery, CompletedRunVerifiesCleanAndReopenIsIdempotent) {
   const std::string path = test_heap_path("clean");

@@ -183,9 +183,18 @@ TEST(MutantElision, EachMutantRemovesExactlyItsSite) {
       {Mutant::drop_prepublish, counted(structure("Isb-Queue"), [](Ptr& q) {
          dynamic_cast<harness::QueueIface&>(*q).enqueue(7);
        }), {3, 4, 1}, {2, 3, 1}},
+      // One pooled retire serves every scheme; each must elide it.
       {Mutant::drop_retire_persist,
        counted([] { return mem::EbrReclaimer::create<Cell16>(); },
                [](Cell16* c) { mem::EbrReclaimer::retire(c); }),
+       {1, 1, 0}, {0, 0, 0}},
+      {Mutant::drop_retire_persist,
+       counted([] { return mem::PopReclaimer::create<Cell16>(); },
+               [](Cell16* c) { mem::PopReclaimer::retire(c); }),
+       {1, 1, 0}, {0, 0, 0}},
+      {Mutant::drop_retire_persist,
+       counted([] { return mem::HpReclaimer::create<Cell16>(); },
+               [](Cell16* c) { mem::HpReclaimer::retire(c); }),
        {1, 1, 0}, {0, 0, 0}},
       // Four instructions, so chain points drawn from [1, kSealWindow]
       // can also let the seal complete.
