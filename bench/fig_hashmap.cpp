@@ -21,8 +21,7 @@
 //                     *flat list* to 40% of 1M keys is quadratic; the
 //                     same 20k-key working set makes the per-op gap
 //                     the structures' own (the map's directory grows
-//                     to the working set; REPRO_HM_BUCKET_BITS only
-//                     sets where it starts).
+//                     from one bucket to the working set).
 //
 // CI records the run as BENCH_PR9.json (REPRO_OUT) and shape-validates
 // the (algo, threads) combinations of the pinned-thread specs.

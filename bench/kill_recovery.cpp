@@ -1,12 +1,15 @@
 // Fork-kill-recover driver: the process-kill counterpart of
-// crash_points / concurrent_crash.  Each trial forks a child that maps
-// the persistent heap (pmem/mmap_heap.hpp), runs a journaled detectable
-// workload in Mode::mmap, dies by SIGKILL, and is audited by a fresh
-// process that reopens the heap file and replays the detectability
-// contract (harness/killfuzz.hpp).  Exits non-zero on any violation.
+// crash_points / concurrent_crash.  For each structure of
+// kill::structures() (every detectable registry entry with a checked
+// durable walk), each trial forks a child that maps the persistent heap
+// (pmem/mmap_heap.hpp), runs a journaled workload on the structure
+// rooted there in Mode::mmap, dies by SIGKILL, and is audited by a
+// fresh process that reopens the heap file and replays the
+// detectability contract (harness/killfuzz.hpp).  Exits non-zero on
+// any violation.
 //
 // Environment:
-//   REPRO_KILL_TRIALS   trials per family          (default 200)
+//   REPRO_KILL_TRIALS   trials per structure       (default 200)
 //   REPRO_KILL_THREADS  worker lanes in the child  (default 1)
 //   REPRO_KILL_OPS      per-lane operation budget  (default 512)
 //   REPRO_KILL_TIMED=1  parent-timed SIGKILL instead of deterministic
@@ -51,27 +54,27 @@ kf::KillPlan base_plan() {
 // processes must reopen the heap file and agree it is intact.
 int persist_smoke() {
   int failures = 0;
-  for (kf::Family f : kf::all_families()) {
+  for (const repro::harness::AlgoEntry* e : kf::structures()) {
     kf::KillPlan plan = base_plan();
-    plan.family = f;
+    plan.structure = e->name;
     plan.ops_budget = 200;
     const kf::TrialResult r = kf::kill_one(plan);
-    const char* name = kf::family_name(f);
+    const char* name = e->name.c_str();
     if (!r.infra_ok) {
-      std::fprintf(stderr, "persist-smoke %-10s SKIP (mmap heap "
+      std::fprintf(stderr, "persist-smoke %-15s SKIP (mmap heap "
                    "unavailable in this environment)\n", name);
       kf::cleanup_heap_files(plan);
       continue;
     }
     if (r.killed || r.vacuous || r.violations != 0) {
       std::fprintf(stderr,
-                   "persist-smoke %-10s FAIL: killed=%d vacuous=%d "
+                   "persist-smoke %-15s FAIL: killed=%d vacuous=%d "
                    "violations=%d %s\n",
                    name, r.killed, r.vacuous, r.violations,
                    r.what.c_str());
       ++failures;
     } else {
-      std::printf("persist-smoke %-10s OK: dataset survived reopen "
+      std::printf("persist-smoke %-15s OK: dataset survived reopen "
                   "by two fresh processes\n", name);
     }
     kf::cleanup_heap_files(plan);
@@ -91,22 +94,22 @@ int kill_campaign() {
   int total_trials = 0;
   kf::KillPlan plan = base_plan();
   plan.double_kill = dbl;
-  for (kf::Family f : kf::all_families()) {
-    plan.family = f;
+  for (const repro::harness::AlgoEntry* e : kf::structures()) {
+    plan.structure = e->name;
     const kf::KillReport rep = kf::kill_many(plan, trials, timed);
     std::printf(
-        "kill-recovery %-10s trials=%d kills=%d completed=%d "
+        "kill-recovery %-15s trials=%d kills=%d completed=%d "
         "vacuous=%d verifier_kills=%d infra_skips=%d violations=%d "
         "mode=%s threads=%d seed=0x%llx\n",
-        kf::family_name(f), rep.trials, rep.kills, rep.completed,
+        e->name.c_str(), rep.trials, rep.kills, rep.completed,
         rep.vacuous, rep.verifier_kills, rep.infra_skips,
         rep.violations, dbl ? "double-kill" : (timed ? "timed" : "armed"),
         plan.threads, static_cast<unsigned long long>(plan.seed));
     for (const kf::KillFailure& x : rep.failures) {
       std::fprintf(stderr,
-                   "  FAIL family=%s seed=0x%llx kill_point=%llu "
+                   "  FAIL structure=%s seed=0x%llx kill_point=%llu "
                    "delay_us=%d threads=%d: %s\n",
-                   x.family.c_str(),
+                   x.structure.c_str(),
                    static_cast<unsigned long long>(x.seed),
                    static_cast<unsigned long long>(x.kill_point),
                    x.delay_us, x.threads, x.what.c_str());

@@ -13,7 +13,7 @@
 // construction), switches the pmem layer into shadow-NVM mode, arms a
 // crash at a persistence-instruction boundary (pmem/crash.hpp) and
 // runs the lanes until it fires.  Every operation goes through
-// history.hpp's recording adapters, so a pending-at-crash op is a
+// HistoryRecorder::record (history.hpp), so a pending-at-crash op is a
 // dangling invoke.  The simulated power failure rewinds every tracked
 // word to the durable image (pmem/shadow.hpp; under adversarial
 // fidelity a PRNG coin decides each pending write-back), each lane's
@@ -61,6 +61,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "repro/ds/detectable.hpp"
@@ -352,13 +353,9 @@ class Driver {
       queue_ = dynamic_cast<QueueIface*>(s_);
       stack_ = dynamic_cast<StackIface*>(s_);
       ex_ = dynamic_cast<ExchangerIface*>(s_);
-      // The durable-image walk vouches for pointers by checking them
-      // against the pool slab directory; the no-reclaim ablations
-      // allocate with raw `new` outside any pool, so they are verified
-      // at the descriptor level only.
-      contents_checked_ = s_->has_snapshot() &&
-                          (set_ != nullptr || queue_ != nullptr) &&
-                          !algo_.has_trait("no-reclaim");
+      // Entries without a checked walk (AlgoEntry::walk_checked) are
+      // verified at the descriptor level only.
+      contents_checked_ = algo_.walk_checked();
       prefill();
       {
         pmem::ModeGuard mode(pmem::Mode::shadow);
@@ -517,9 +514,9 @@ class Driver {
     }
   }
 
-  // One operation, drawn from the lane's PRNG and run through the
-  // recording adapter.  The one-lane replay draws values from its PRNG;
-  // concurrent lanes use unique per-(lane, op) values above the
+  // One operation, drawn from the lane's PRNG and run through
+  // HistoryRecorder::record.  The one-lane replay draws values from its
+  // PRNG; concurrent lanes use unique per-(lane, op) values above the
   // prefill range, so FIFO/LIFO violations — and the zero/stale
   // payloads a dropped pre_publish leaves durable — cannot alias a
   // legitimate value.
@@ -529,7 +526,6 @@ class Driver {
                     : static_cast<std::uint64_t>((t + 1) * 100 + o);
     };
     oracle::LaneOp op;
-    std::uint64_t out = 0;
     if (set_ != nullptr) {
       op.key = 1 + static_cast<std::int64_t>(
                        l.rng.below(static_cast<std::uint64_t>(kKeyRange)));
@@ -543,37 +539,43 @@ class Driver {
                 : dice < (reclaim ? 9u : 8u) ? ds::OpKind::erase
                                              : ds::OpKind::find;
       op.traced = op.kind != ds::OpKind::find;
-      RecordedSet r(*set_, history_, t);
-      op.ok = op.kind == ds::OpKind::insert  ? r.insert(op.key)
-              : op.kind == ds::OpKind::erase ? r.erase(op.key)
-                                             : r.find(op.key);
-      op.result = op.ok ? 1 : 0;
+      history_.record(t, op.kind, op.key, [&] {
+        op.ok = op.kind == ds::OpKind::insert  ? set_->insert(op.key)
+                : op.kind == ds::OpKind::erase ? set_->erase(op.key)
+                                               : set_->find(op.key);
+        op.result = op.ok ? 1 : 0;
+        return std::pair{op.ok, op.result};
+      });
     } else if (ex_ != nullptr) {
       const std::uint64_t v = value(0);
       op.kind = ds::OpKind::exchange;
       op.key = static_cast<std::int64_t>(v);
       // One lane has no partner: a short spin times out.
-      op.ok = RecordedExchanger(*ex_, history_, t)
-                  .exchange(v, cfg_.exact ? 2 : 24, out);
-      op.result = out;
+      history_.record(t, op.kind, op.key, [&] {
+        op.ok = ex_->exchange(v, cfg_.exact ? 2 : 24, op.result);
+        return std::pair{op.ok, op.result};
+      });
     } else if (l.rng.below(2) == 0) {
       const std::uint64_t v = value(1);
+      op.kind = queue_ != nullptr ? ds::OpKind::enqueue : ds::OpKind::push;
       op.key = static_cast<std::int64_t>(v);
       op.ok = true;
       op.result = v;
-      if (queue_ != nullptr) {
-        op.kind = ds::OpKind::enqueue;
-        RecordedQueue(*queue_, history_, t).enqueue(v);
-      } else {
-        op.kind = ds::OpKind::push;
-        RecordedStack(*stack_, history_, t).push(v);
-      }
+      history_.record(t, op.kind, op.key, [&] {
+        if (queue_ != nullptr) {
+          queue_->enqueue(v);
+        } else {
+          stack_->push(v);
+        }
+        return std::pair{true, v};
+      });
     } else {
       op.kind = queue_ != nullptr ? ds::OpKind::dequeue : ds::OpKind::pop;
-      op.ok = queue_ != nullptr
-                  ? RecordedQueue(*queue_, history_, t).dequeue(out)
-                  : RecordedStack(*stack_, history_, t).pop(out);
-      op.result = out;
+      history_.record(t, op.kind, 0, [&] {
+        op.ok = queue_ != nullptr ? queue_->dequeue(op.result)
+                                  : stack_->pop(op.result);
+        return std::pair{op.ok, op.result};
+      });
     }
     return op;
   }

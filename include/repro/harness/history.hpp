@@ -11,10 +11,11 @@
 // smaller — exactly the real-time precedence relation the checker
 // needs (ticket(resp A) < ticket(inv B) ⇒ A precedes B).
 //
-// Every operation appends an invoke event *before* touching the
-// structure and a response event after it returns; an operation
-// interrupted by the simulated crash (CrashUnwind) therefore leaves a
-// dangling invoke — the checker's pending-at-crash op.  The driver
+// Every operation (HistoryRecorder::record) appends an invoke event
+// *before* touching the structure and a response event after it
+// returns; an operation interrupted by the simulated crash
+// (CrashUnwind) therefore leaves a dangling invoke — the checker's
+// pending-at-crash op.  The driver
 // stamps one crash event after the workers have unwound.
 //
 // On a verification failure the whole history dumps as JSON lines
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "repro/ds/detectable.hpp"
-#include "repro/harness/registry.hpp"
 #include "repro/pmem/crash.hpp"
 
 namespace repro::harness {
@@ -120,6 +120,26 @@ class HistoryRecorder {
     e.result = result;
     e.ts = tick();
     l.events.push_back(e);
+  }
+
+  // Owner-lane only: one whole operation.  `fn` runs it and returns
+  // its response as a {ok, result} pair.  An operation that unwinds
+  // (CrashUnwind) leaves its invoke dangling — the pending-at-crash op.
+  //
+  // The crash::check() between the operation and the response event
+  // closes a pure-load hole: once the simulated power has failed, any
+  // tracked store or persistence instruction unwinds, but an operation
+  // on a load-only path (a find, a failed search) can still return
+  // normally while reading volatile state the crash is about to erase.
+  // Its response was never delivered to a client of the powered-off
+  // machine, so it becomes the same CrashUnwind a mid-op crash produces
+  // and the invoke stays dangling (verdict: may).
+  template <typename Fn>
+  void record(int lane, ds::OpKind kind, std::int64_t input, Fn&& fn) {
+    const std::uint64_t op = invoke(lane, kind, input);
+    const auto [ok, result] = fn();
+    pmem::crash::check();
+    response(lane, op, ok, result);
   }
 
   // Driver only, after every worker has unwound.
@@ -284,130 +304,5 @@ inline bool parse_history_jsonl(const std::string& text,
   }
   return true;
 }
-
-// ---------------------------------------------------------------------
-// Recording adapters: the history recorder wired through the
-// type-erased Structure interfaces.  A worker talks to the same
-// SetIface/QueueIface/... surface the registry hands out; every call
-// brackets the inner operation with invoke/response events, and an
-// operation that unwinds (CrashUnwind) leaves its invoke dangling —
-// the pending-at-crash op.
-//
-// The crash::check() between the inner call and the response event
-// closes a pure-load hole: once the simulated power has failed, any
-// tracked store or persistence instruction unwinds, but an operation
-// on a load-only path (a find, a failed search) can still return
-// normally while reading volatile state the crash is about to erase.
-// Its response was never delivered to a client of the powered-off
-// machine, so the adapter converts it into the same CrashUnwind a
-// mid-op crash produces and the invoke stays dangling (verdict: may).
-// ---------------------------------------------------------------------
-
-class RecordedSet final : public SetIface {
- public:
-  RecordedSet(SetIface& inner, HistoryRecorder& rec, int lane)
-      : inner_(inner), rec_(rec), lane_(lane) {}
-
-  bool insert(std::int64_t k) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::insert, k);
-    const bool ok = inner_.insert(k);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, ok ? 1 : 0);
-    return ok;
-  }
-  bool erase(std::int64_t k) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::erase, k);
-    const bool ok = inner_.erase(k);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, ok ? 1 : 0);
-    return ok;
-  }
-  bool find(std::int64_t k) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::find, k);
-    const bool ok = inner_.find(k);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, ok ? 1 : 0);
-    return ok;
-  }
-
- private:
-  SetIface& inner_;
-  HistoryRecorder& rec_;
-  int lane_;
-};
-
-class RecordedQueue final : public QueueIface {
- public:
-  RecordedQueue(QueueIface& inner, HistoryRecorder& rec, int lane)
-      : inner_(inner), rec_(rec), lane_(lane) {}
-
-  void enqueue(std::uint64_t v) override {
-    const std::uint64_t op = rec_.invoke(
-        lane_, ds::OpKind::enqueue, static_cast<std::int64_t>(v));
-    inner_.enqueue(v);
-    pmem::crash::check();
-    rec_.response(lane_, op, true, v);
-  }
-  bool dequeue(std::uint64_t& out) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::dequeue, 0);
-    const bool ok = inner_.dequeue(out);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, out);
-    return ok;
-  }
-
- private:
-  QueueIface& inner_;
-  HistoryRecorder& rec_;
-  int lane_;
-};
-
-class RecordedStack final : public StackIface {
- public:
-  RecordedStack(StackIface& inner, HistoryRecorder& rec, int lane)
-      : inner_(inner), rec_(rec), lane_(lane) {}
-
-  void push(std::uint64_t v) override {
-    const std::uint64_t op = rec_.invoke(
-        lane_, ds::OpKind::push, static_cast<std::int64_t>(v));
-    inner_.push(v);
-    pmem::crash::check();
-    rec_.response(lane_, op, true, v);
-  }
-  bool pop(std::uint64_t& out) override {
-    const std::uint64_t op = rec_.invoke(lane_, ds::OpKind::pop, 0);
-    const bool ok = inner_.pop(out);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, out);
-    return ok;
-  }
-
- private:
-  StackIface& inner_;
-  HistoryRecorder& rec_;
-  int lane_;
-};
-
-class RecordedExchanger final : public ExchangerIface {
- public:
-  RecordedExchanger(ExchangerIface& inner, HistoryRecorder& rec,
-                    int lane)
-      : inner_(inner), rec_(rec), lane_(lane) {}
-
-  bool exchange(std::uint64_t v, int attempts,
-                std::uint64_t& out) override {
-    const std::uint64_t op = rec_.invoke(
-        lane_, ds::OpKind::exchange, static_cast<std::int64_t>(v));
-    const bool ok = inner_.exchange(v, attempts, out);
-    pmem::crash::check();
-    rec_.response(lane_, op, ok, out);
-    return ok;
-  }
-
- private:
-  ExchangerIface& inner_;
-  HistoryRecorder& rec_;
-  int lane_;
-};
 
 }  // namespace repro::harness

@@ -3,20 +3,22 @@
 // The shadow-NVM fuzzers (crashfuzz.hpp) simulate power failure inside
 // one process.  This harness makes the durability claim for real: the
 // parent forks a CHILD that attaches the mmap heap (pmem/mmap_heap.hpp),
-// builds a detectable structure as a heap root and runs a journaled
-// workload against it in Mode::mmap; the child is SIGKILLed — either at
-// a deterministic persistence-instruction boundary
+// roots a registry structure on it (AlgoEntry::on_heap) and runs a
+// journaled workload against it in Mode::mmap; the child is SIGKILLed —
+// either at a deterministic persistence-instruction boundary
 // (pmem::crash::arm_kill, replayable from a {seed, kill_point} pair) or
 // by a parent-timed signal — and a FRESH verifier process then maps the
 // same heap file and asserts the paper's detectability contract DC1–DC4
 // (harness/oracle.hpp) against what the dead process durably left
-// behind.  Each worker lane's journal is its completed-op record, so
-// the per-lane oracle (judge_lane) checks its descriptor, and the
-// contents oracle (judge_contents) checks each lane's key range for
-// lists and the whole FIFO at one lane for queues.  Multi-lane queues
-// add a global value audit: every durable value was enqueued and not
-// yet dequeued, and losses only where an in-flight dequeue can account
-// for them.
+// behind.  The structures are kill::structures(): every detectable
+// registry entry with a checked durable walk, so registering one puts
+// it under real SIGKILLs.  Each worker lane's journal is its
+// completed-op record, so the per-lane oracle (judge_lane) checks its
+// descriptor, and the contents oracle (judge_contents) checks each
+// lane's key range for sets and the whole FIFO at one lane for queues.
+// Multi-lane queues add a global value audit: every durable value was
+// enqueued and not yet dequeued, and losses only where an in-flight
+// dequeue can account for them.
 //
 // What a SIGKILL does and does not test: the page cache survives the
 // signal, so every store the child executed — fenced or not — is in
@@ -46,10 +48,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include <fcntl.h>
@@ -58,12 +60,9 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "repro/ds/dt_list.hpp"
-#include "repro/ds/hm_hashtable.hpp"
-#include "repro/ds/isb_list.hpp"
-#include "repro/ds/isb_queue.hpp"
 #include "repro/harness/history.hpp"
 #include "repro/harness/oracle.hpp"
+#include "repro/harness/registry.hpp"
 #include "repro/harness/runner.hpp"
 #include "repro/harness/sinks.hpp"
 #include "repro/pmem/crash.hpp"
@@ -71,45 +70,21 @@
 
 namespace repro::harness::kill {
 
-// The detectable structure families the kill harness drives.  These
-// are the concrete non-virtual templates, not registry wrappers: a
-// polymorphic object's vtable pointer is process-specific and would be
-// stale in the verifier, so the heap root must be vtable-free.
-enum class Family { isb_list, isb_queue, dt_list, hm_map };
-
-inline const char* family_name(Family f) {
-  static const char* const kNames[] = {"isb-list", "isb-queue", "dt-list",
-                                       "hm-map"};
-  return kNames[static_cast<int>(f)];
-}
-
-inline const std::vector<Family>& all_families() {
-  static const std::vector<Family> fams = {
-      Family::isb_list, Family::isb_queue, Family::dt_list,
-      Family::hm_map};
-  return fams;
-}
-
-// Family dispatch: calls fn with a null pointer of the family's
-// structure type.  The hash map drives like the lists — the identical
-// insert/erase/find + recover surface, with each lane's key span
-// scattered across buckets by the map's hash — and its list, dummies
-// and directory segments are all carved from the arena, so a fresh
-// verifier walks them through the same fixed-base pointers.
-template <typename Fn>
-decltype(auto) visit_family(Family f, Fn&& fn) {
-  switch (f) {
-    case Family::isb_queue: return fn(static_cast<ds::IsbQueueT<>*>(nullptr));
-    case Family::dt_list: return fn(static_cast<ds::DtListT<>*>(nullptr));
-    case Family::hm_map: return fn(static_cast<ds::IsbHashMapT<>*>(nullptr));
-    default: return fn(static_cast<ds::IsbListT<>*>(nullptr));
+// The structures the kill harness drives: the detectable registry
+// entries whose durable walk is checked.  The walk is also what gives
+// an entry its on_heap hook.
+inline std::vector<const AlgoEntry*> structures() {
+  std::vector<const AlgoEntry*> out;
+  for (const AlgoEntry& e : Registry::instance().entries()) {
+    if (e.walk_checked() && e.has_trait("detectable")) out.push_back(&e);
   }
+  return out;
 }
 
-// One trial's full parameterisation; {family, seed, threads,
+// One trial's full parameterisation; {structure, seed, threads,
 // kill_point} replays a deterministic single-lane trial bit-for-bit.
 struct KillPlan {
-  Family family = Family::isb_list;
+  std::string structure = "Isb";  // a kill::structures() name
   std::string heap_path = "/tmp/repro_heap.pmem";
   std::uint64_t seed = 1;
   int threads = 1;
@@ -138,7 +113,7 @@ struct TrialResult {
 };
 
 struct KillFailure {
-  std::string family;
+  std::string structure;
   std::uint64_t seed = 0;
   std::uint64_t kill_point = 0;
   int delay_us = 0;
@@ -161,7 +136,6 @@ struct KillReport {
 namespace detail {
 
 inline constexpr std::int64_t kLaneKeySpan = 32;
-inline constexpr const char* kRootName = "structure";
 inline constexpr const char* kSealRootName = "vseal";
 
 // Verifier-pass seal (double-kill scenario).  verify_in_process is
@@ -284,25 +258,25 @@ struct StartBarrier {
   }
 };
 
-template <typename S>
-inline constexpr bool kIsQueue = requires(S& s) { s.dequeue(); };
-
 // One lane's operation: sets draw a key in the lane's own span and a
 // 40/40/20 insert/erase/find dice; queues enqueue lane-tagged values
 // 60% of the time and dequeue otherwise.
-template <typename S>
-oracle::LaneOp lane_op(S* s, Rng& rng, int lane, int& enqueued) {
+inline oracle::LaneOp lane_op(Structure& s, Kind kind, Rng& rng, int lane,
+                              int& enqueued) {
   oracle::LaneOp op;
-  if constexpr (kIsQueue<S>) {
+  if (kind == Kind::queue) {
+    auto& q = static_cast<QueueIface&>(s);
     if (rng.below(10) < 6) {
       const std::uint64_t v = lane_value(lane, enqueued++);
-      s->enqueue(v);
+      q.enqueue(v);
       op = {0, ds::OpKind::enqueue, static_cast<std::int64_t>(v), true, v};
     } else {
-      const ds::DequeueResult r = s->dequeue();
-      op = {0, ds::OpKind::dequeue, 0, r.ok, r.value};
+      std::uint64_t v = 0;
+      const bool ok = q.dequeue(v);
+      op = {0, ds::OpKind::dequeue, 0, ok, v};
     }
   } else {
+    auto& set = static_cast<SetIface&>(s);
     op.key = lane_key_base(lane) + 1 +
              static_cast<std::int64_t>(
                  rng.below(static_cast<std::uint64_t>(kLaneKeySpan)));
@@ -310,17 +284,17 @@ oracle::LaneOp lane_op(S* s, Rng& rng, int lane, int& enqueued) {
     op.kind = dice < 4   ? ds::OpKind::insert
               : dice < 8 ? ds::OpKind::erase
                          : ds::OpKind::find;
-    op.ok = op.kind == ds::OpKind::insert  ? s->insert(op.key)
-            : op.kind == ds::OpKind::erase ? s->erase(op.key)
-                                           : s->find(op.key);
+    op.ok = op.kind == ds::OpKind::insert  ? set.insert(op.key)
+            : op.kind == ds::OpKind::erase ? set.erase(op.key)
+                                           : set.find(op.key);
     op.result = op.ok ? 1 : 0;
   }
   return op;
 }
 
 // Runs the lanes: hello, start barrier, then the journaled ops.
-template <typename S>
-void run_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
+inline void run_lanes(const KillPlan& plan, Structure& s, Kind kind,
+                      JournalWriter& j) {
   std::vector<std::thread> lanes;
   lanes.reserve(static_cast<std::size_t>(plan.threads));
   StartBarrier barrier;
@@ -332,8 +306,8 @@ void run_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
       Rng rng(mix_seed(plan.seed, static_cast<std::uint64_t>(t)));
       int enqueued = 0;
       for (int o = 0; o < plan.ops_budget; ++o) {
-        const oracle::LaneOp op = lane_op(s, rng, t, enqueued);
-        const std::uint64_t seq = s->recover(slot).seq;
+        const oracle::LaneOp op = lane_op(s, kind, rng, t, enqueued);
+        const std::uint64_t seq = s.recover(slot).seq;
         j.line("{\"lane\":%d,\"seq\":%llu,\"kind\":\"%s\",\"key\":%lld,"
                "\"ok\":%d,\"result\":%llu}",
                t, static_cast<unsigned long long>(seq),
@@ -354,25 +328,22 @@ void run_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
       pmem::MmapHeap::attach(plan.heap_path, plan.heap_bytes);
   if (heap == nullptr) ::_exit(120);
   pmem::set_mode(pmem::Mode::mmap);
-  visit_family(plan.family, [&](auto* tag) {
-    using S = std::remove_pointer_t<decltype(tag)>;
-    S* root = heap->root<S>(kRootName);
-    JournalWriter j;
-    if (root == nullptr || !j.open_trunc(plan.journal_path())) {
-      ::_exit(120);
-    }
-    // Setup is durable; tell the parent it may start the kill timer.
-    if (notify_fd >= 0) {
-      const char ready = 'r';
-      [[maybe_unused]] ssize_t w = ::write(notify_fd, &ready, 1);
-      ::close(notify_fd);
-    }
-    // Armed AFTER setup: heap bookkeeping persists through the raw
-    // (uncounted) path, so instruction n is the n-th *algorithm*
-    // persistence instruction — the deterministic replay anchor.
-    if (plan.kill_point > 0) pmem::crash::arm_kill(plan.kill_point);
-    run_lanes(plan, root, j);
-  });
+  const AlgoEntry* e = Registry::instance().find(plan.structure);
+  std::unique_ptr<Structure> s =
+      e != nullptr && e->on_heap ? e->on_heap(*heap, true) : nullptr;
+  JournalWriter j;
+  if (s == nullptr || !j.open_trunc(plan.journal_path())) ::_exit(120);
+  // Setup is durable; tell the parent it may start the kill timer.
+  if (notify_fd >= 0) {
+    const char ready = 'r';
+    [[maybe_unused]] ssize_t w = ::write(notify_fd, &ready, 1);
+    ::close(notify_fd);
+  }
+  // Armed AFTER setup: heap bookkeeping persists through the raw
+  // (uncounted) path, so instruction n is the n-th *algorithm*
+  // persistence instruction — the deterministic replay anchor.
+  if (plan.kill_point > 0) pmem::crash::arm_kill(plan.kill_point);
+  run_lanes(plan, *s, e->kind, j);
   ::_exit(0);
 }
 
@@ -380,9 +351,9 @@ void run_lanes(const KillPlan& plan, S* s, JournalWriter& j) {
 // Verifier side: runs in a FRESH process that maps the heap file.
 // ------------------------------------------------------------------
 
-template <typename S>
-int verify(S* s, const Journal& j, int threads, std::string& detail) {
-  constexpr bool kQueue = kIsQueue<S>;
+inline int verify(const Structure& s, Kind kind, const Journal& j,
+                  int threads, std::string& detail) {
+  const bool is_queue = kind == Kind::queue;
   int violations = 0;
   auto fail = [&](const std::string& w) {
     ++violations;
@@ -391,13 +362,7 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
 
   std::vector<std::int64_t> keys;
   std::vector<std::uint64_t> durable;
-  bool walked;
-  if constexpr (kQueue) {
-    walked = s->snapshot_values(durable);
-  } else {
-    walked = s->snapshot_keys(keys);
-  }
-  if (!walked) {
+  if (!(is_queue ? s.snapshot_values(durable) : s.snapshot_keys(keys))) {
     fail("durable walk failed: link into unowned memory or a cycle");
     return violations;
   }
@@ -432,17 +397,17 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
       }
       if (ops[i].kind == ds::OpKind::enqueue) {
         enq_done.insert(ops[i].result);
-      } else if (kQueue && ops[i].ok &&
+      } else if (is_queue && ops[i].ok &&
                  !deq_done.insert(ops[i].result).second) {
         fail("value " + std::to_string(ops[i].result) +
              " journaled as dequeued twice");
       }
     }
     LaneView lv{lane, &ops,
-                oracle::judge_lane(ds::Recovered{}, ops, s->recover(slot),
+                oracle::judge_lane(ds::Recovered{}, ops, s.recover(slot),
                                    oracle::InFlight::unknown)};
     const ds::Recovered& rec = lv.v.desc;
-    if (kQueue && lv.v.in_flight()) {
+    if (is_queue && lv.v.in_flight()) {
       if (rec.kind == ds::OpKind::enqueue) {
         const auto v = static_cast<std::uint64_t>(rec.key);
         inflight_enq.insert(v);
@@ -480,7 +445,7 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
       fail(who + lv.v.what);
       continue;
     }
-    if constexpr (!kQueue) {
+    if (!is_queue) {
       const ds::OpKind k = lv.v.desc.kind;
       oracle::Contents model;
       oracle::LaneOp in;
@@ -538,7 +503,7 @@ int verify(S* s, const Journal& j, int threads, std::string& detail) {
       break;
     }
   }
-  if constexpr (!kQueue) return violations;
+  if (!is_queue) return violations;
 
   // Global value audit.
   for (std::uint64_t v : durable) {
@@ -615,11 +580,11 @@ inline int verify_in_process(const KillPlan& plan, std::string& detail,
     if (kill2_point > 0) pmem::crash::arm_kill(kill2_point);
     seal->started.store_persist(seal->started.load() + 1);
   }
-  const int v = visit_family(plan.family, [&](auto* tag) {
-    using S = std::remove_pointer_t<decltype(tag)>;
-    S* s = heap->find_root<S>(kRootName);
-    return s == nullptr ? -1 : verify(s, j, plan.threads, detail);
-  });
+  const AlgoEntry* e = Registry::instance().find(plan.structure);
+  if (e == nullptr || !e->on_heap) return -2;
+  const std::unique_ptr<Structure> s = e->on_heap(*heap, false);
+  const int v =
+      s == nullptr ? -1 : verify(*s, e->kind, j, plan.threads, detail);
   if (seal != nullptr) seal->done.store_persist(seal->done.load() + 1);
   return v;
 }
@@ -756,7 +721,7 @@ inline TrialResult kill_one(const KillPlan& plan) {
   return r;
 }
 
-// Randomized campaign over one family: `trials` forked kills, each
+// Randomized campaign over one structure: `trials` forked kills, each
 // with a fresh {seed, kill point} pair.  Deterministic mode (default)
 // arms the kill at a drawn persistence-instruction index — each
 // failure is replayable via kill_one{seed, kill_point}; timed mode
@@ -800,7 +765,7 @@ inline KillReport kill_many(const KillPlan& proto, int trials,
     rep.violations += t.violations;
     if (t.violations > 0 && rep.failures.size() < 8) {
       KillFailure f;
-      f.family = family_name(p.family);
+      f.structure = p.structure;
       f.seed = p.seed;
       f.kill_point = p.kill_point;
       f.delay_us = p.kill_delay_us;
@@ -815,7 +780,7 @@ inline KillReport kill_many(const KillPlan& proto, int trials,
 
 // Failing-trial reproducers as JSON lines (the CI artifact).  Replay
 // one line with
-//   kill_one({family, seed, threads, kill_point})
+//   kill_one({structure, seed, threads, kill_point})
 // (deterministic for threads == 1; timed failures replay the same
 // workload draws, not the same kill instant).
 inline void write_kill_reproducer(const KillReport& report,
@@ -823,7 +788,7 @@ inline void write_kill_reproducer(const KillReport& report,
   std::string lines;
   for (const KillFailure& x : report.failures) {
     lines += failure_jsonl(
-        "\"family\":\"" + x.family + "\",\"seed\":" +
+        "\"structure\":\"" + x.structure + "\",\"seed\":" +
             std::to_string(x.seed) +
             ",\"kill_point\":" + std::to_string(x.kill_point) +
             ",\"delay_us\":" + std::to_string(x.delay_us) +

@@ -17,6 +17,8 @@
 // Structures exposing the announcement-board recovery protocol
 // (detectable.hpp) surface it through Structure::recover(); the crash
 // scenario in experiment.hpp requires it (trait "detectable").
+// Structures with a durable walk also get an on_heap hook that roots
+// them on the mmap heap, which is how the kill harness drives them.
 #pragma once
 
 #include <concepts>
@@ -48,6 +50,7 @@
 #include "repro/ds/isb_queue.hpp"
 #include "repro/mem/hp.hpp"
 #include "repro/mem/pop.hpp"
+#include "repro/pmem/mmap_heap.hpp"
 
 namespace repro::harness {
 
@@ -92,6 +95,7 @@ class Structure {
 
 class SetIface : public Structure {
  public:
+  static constexpr Kind kKind = Kind::set;
   virtual bool insert(std::int64_t k) = 0;
   virtual bool erase(std::int64_t k) = 0;
   virtual bool find(std::int64_t k) = 0;
@@ -99,18 +103,21 @@ class SetIface : public Structure {
 
 class QueueIface : public Structure {
  public:
+  static constexpr Kind kKind = Kind::queue;
   virtual void enqueue(std::uint64_t v) = 0;
   virtual bool dequeue(std::uint64_t& out) = 0;
 };
 
 class StackIface : public Structure {
  public:
+  static constexpr Kind kKind = Kind::stack;
   virtual void push(std::uint64_t v) = 0;
   virtual bool pop(std::uint64_t& out) = 0;
 };
 
 class ExchangerIface : public Structure {
  public:
+  static constexpr Kind kKind = Kind::exchanger;
   virtual bool exchange(std::uint64_t v, int attempts,
                         std::uint64_t& out) = 0;
 };
@@ -136,7 +143,9 @@ concept ValueSnapshottable =
 
 // Adapters: recovery support is detected from the implementation, so a
 // structure gains the "detectable" surface by merely exposing
-// recover(int) (the shared AnnouncementBoard protocol).
+// recover(int) (the shared AnnouncementBoard protocol).  `Impl` may be
+// a reference: Adapter<Impl&> wraps an object it does not own, such as
+// a root on the mmap heap.
 template <typename Impl, typename Base>
 class AdapterBase : public Base {
  public:
@@ -231,6 +240,22 @@ struct AlgoEntry {
   Kind kind;
   std::vector<std::string> traits;  // e.g. "detectable", "paper-list"
   std::function<std::unique_ptr<Structure>()> make;
+  // Set when the implementation has a durable walk: roots it on `heap`
+  // (constructing it when `create`, else only reattaching) and returns
+  // a process-local adapter over the root, or nullptr when there is no
+  // such root.  The root itself is vtable-free, so a fresh process that
+  // maps the same heap file can reattach it.
+  std::function<std::unique_ptr<Structure>(pmem::MmapHeap& heap,
+                                           bool create)>
+      on_heap = nullptr;
+
+  // Whether verifiers check the durable image against a model: the
+  // entry has a durable walk, and allocates from the pools that the
+  // walk vouches for pointers against (the no-reclaim ablations use
+  // raw `new`).
+  bool walk_checked() const {
+    return on_heap != nullptr && !has_trait("no-reclaim");
+  }
 
   bool has_trait(std::string_view t) const {
     if (t == kind_name(kind)) return true;
@@ -350,24 +375,41 @@ class Registry {
   std::deque<AlgoEntry> entries_;
 };
 
+// One registration: `make` builds Adapter<Impl>(args...), the kind is
+// the adapter's interface kind, and an Impl with a durable walk also
+// gets the on_heap hook, which roots Impl(args...) on the heap under
+// the entry's name and hands out an Adapter<Impl&> over it.
+template <template <typename> class Adapter, typename Impl,
+          typename... Args>
+bool register_structure(std::string name, std::vector<std::string> traits,
+                        Args... args) {
+  AlgoEntry e{std::move(name), Adapter<Impl>::kKind, std::move(traits),
+              [args...]() -> std::unique_ptr<Structure> {
+                return std::make_unique<Adapter<Impl>>(args...);
+              }};
+  if constexpr (detail::KeySnapshottable<Impl> ||
+                detail::ValueSnapshottable<Impl>) {
+    e.on_heap = [root = e.name, args...](
+                    pmem::MmapHeap& heap,
+                    bool create) -> std::unique_ptr<Structure> {
+      Impl* p = create ? heap.root<Impl>(root.c_str(), args...)
+                       : heap.find_root<Impl>(root.c_str());
+      if (p == nullptr) return nullptr;
+      return std::make_unique<Adapter<Impl&>>(*p);
+    };
+  }
+  return Registry::instance().add(std::move(e));
+}
+
 // ---------------------------------------------------------------------
 // Built-in registrations (the paper's evaluated structures)
 // ---------------------------------------------------------------------
 
 namespace detail {
 
-// Bucket-count override for the hash-map registrations: the registry
-// factories are shared by benches, fuzzers and tests, so the knob is an
-// environment variable rather than a per-spec field.  Clamped to the
-// core's supported range; unset/garbage keeps the default.
-inline int hm_bucket_bits() {
-  int bits = 0;  // 1 bucket; the map grows it
-  if (const char* v = std::getenv("REPRO_HM_BUCKET_BITS")) {
-    const long parsed = std::atol(v);
-    if (parsed >= 0 && parsed <= 15) bits = static_cast<int>(parsed);
-  }
-  return bits;
-}
+// Initial bucket count (log2) of the registry's hash maps: one bucket,
+// which each map doubles as it fills.
+inline constexpr int hm_bucket_bits() { return 0; }
 
 // REPRO_RECLAIMER=ebr|hp|pop narrows reclaimer-tagged selectors to one
 // scheme (the CI fuzz legs sweep the matrix one column at a time).
@@ -384,205 +426,132 @@ inline std::string reclaimer_filter() {
 inline bool register_builtins() {
   using baselines::CapsulesList;
   using baselines::CapsulesQueue;
-  using baselines::HarrisList;
-  using baselines::LogQueue;
-  using baselines::MsQueue;
-  using ds::DtList;
-  using ds::DtSkipList;
   using ds::DtStack;
-  using ds::IsbBst;
-  using ds::IsbExchanger;
+  using ds::IsbHashMap;
   using ds::IsbList;
-  using ds::IsbQueue;
   using ds::PersistProfile;
-
-  Registry& r = Registry::instance();
-
-  auto isb_list = [](PersistProfile p, bool ro) {
-    return [p, ro]() -> std::unique_ptr<Structure> {
-      IsbList::Config c;
-      c.profile = p;
-      c.read_only_opt = ro;
-      return std::make_unique<SetAdapter<IsbList>>(c);
-    };
-  };
+  constexpr PersistProfile kGeneral = PersistProfile::general;
+  constexpr PersistProfile kOptimized = PersistProfile::optimized;
 
   // Section 5 list series (Figures 1, 3-6): trait "paper-list".
-  r.add({"Isb", Kind::set,
-         {"detectable", "persistent", "paper-list", "isb-list",
-          "reclaimer-ebr"},
-         isb_list(PersistProfile::general, true)});
+  register_structure<SetAdapter, IsbList>(
+      "Isb",
+      {"detectable", "persistent", "paper-list", "isb-list",
+       "reclaimer-ebr"},
+      IsbList::Config{kGeneral, true});
   // reclaimer-ebr keeps Isb-Opt inside the REPRO_RECLAIMER=ebr CI leg:
   // it rides along in the reclaim-fuzz figure (its fence-free
   // post_update flushes are the persist-before-retire detection path).
-  r.add({"Isb-Opt", Kind::set,
-         {"detectable", "persistent", "paper-list", "isb-list",
-          "reclaimer-ebr"},
-         isb_list(PersistProfile::optimized, true)});
-  r.add({"Capsules", Kind::set, {"persistent", "paper-list", "capsules"},
-         [] {
-           return std::make_unique<SetAdapter<CapsulesList>>(
-               CapsulesList::Variant::general);
-         }});
-  r.add({"Capsules-Opt", Kind::set,
-         {"persistent", "paper-list", "capsules"}, [] {
-           return std::make_unique<SetAdapter<CapsulesList>>(
-               CapsulesList::Variant::optimized);
-         }});
-  r.add({"DT-Opt", Kind::set,
-         {"detectable", "persistent", "paper-list", "dt"}, [] {
-           return std::make_unique<SetAdapter<DtList>>(
-               PersistProfile::optimized);
-         }});
+  register_structure<SetAdapter, IsbList>(
+      "Isb-Opt",
+      {"detectable", "persistent", "paper-list", "isb-list",
+       "reclaimer-ebr"},
+      IsbList::Config{kOptimized, true});
+  register_structure<SetAdapter, CapsulesList>(
+      "Capsules", {"persistent", "paper-list", "capsules"},
+      CapsulesList::Variant::general);
+  register_structure<SetAdapter, CapsulesList>(
+      "Capsules-Opt", {"persistent", "paper-list", "capsules"},
+      CapsulesList::Variant::optimized);
+  register_structure<SetAdapter, ds::DtList>(
+      "DT-Opt", {"detectable", "persistent", "paper-list", "dt"},
+      kOptimized);
   // Outside the headline series: the general DT placement and the
   // volatile Harris baseline (Figure 4).
-  r.add({"DT", Kind::set, {"detectable", "persistent", "dt"}, [] {
-           return std::make_unique<SetAdapter<DtList>>(
-               PersistProfile::general);
-         }});
-  r.add({"Harris-LL", Kind::set, {"volatile", "baseline"},
-         [] { return std::make_unique<SetAdapter<HarrisList>>(); }});
+  register_structure<SetAdapter, ds::DtList>(
+      "DT", {"detectable", "persistent", "dt"}, kGeneral);
+  register_structure<SetAdapter, baselines::HarrisList>(
+      "Harris-LL", {"volatile", "baseline"});
   // Memory-subsystem ablations: the seed's raw-new / leak-everything
   // allocation, so the EBR+pool win stays measurable in-tree.
-  r.add({"Harris-LL-leak", Kind::set,
-         {"volatile", "baseline", "ablation", "no-reclaim"}, [] {
-           return std::make_unique<SetAdapter<baselines::HarrisListLeaky>>();
-         }});
-  r.add({"Isb-leak", Kind::set,
-         {"detectable", "persistent", "isb-list", "ablation",
-          "no-reclaim"},
-         [] {
-           return std::make_unique<
-               SetAdapter<ds::IsbListT<mem::LeakReclaimer>>>();
-         }});
+  register_structure<SetAdapter, baselines::HarrisListLeaky>(
+      "Harris-LL-leak", {"volatile", "baseline", "ablation", "no-reclaim"});
+  register_structure<SetAdapter, ds::IsbListT<mem::LeakReclaimer>>(
+      "Isb-leak",
+      {"detectable", "persistent", "isb-list", "ablation", "no-reclaim"});
   // Ablation variants: Algorithm-2 read-only optimization disabled.
-  r.add({"Isb-noROopt", Kind::set,
-         {"detectable", "persistent", "isb-list", "ablation"},
-         isb_list(PersistProfile::general, false)});
-  r.add({"Isb-Opt-noROopt", Kind::set,
-         {"detectable", "persistent", "isb-list", "ablation"},
-         isb_list(PersistProfile::optimized, false)});
+  register_structure<SetAdapter, IsbList>(
+      "Isb-noROopt", {"detectable", "persistent", "isb-list", "ablation"},
+      IsbList::Config{kGeneral, false});
+  register_structure<SetAdapter, IsbList>(
+      "Isb-Opt-noROopt",
+      {"detectable", "persistent", "isb-list", "ablation"},
+      IsbList::Config{kOptimized, false});
 
   // Harris-Michael hash map (ROADMAP item 1): the same transformations
-  // over per-bucket Harris segments — trait "hashmap", and
+  // over a split-ordered Harris list — trait "hashmap", and
   // "detectable" so every fuzz family sweeps the detectable variants
   // automatically.
-  auto isb_hm = [](PersistProfile p, bool ro) {
-    return [p, ro]() -> std::unique_ptr<Structure> {
-      ds::IsbHashMap::Config c;
-      c.profile = p;
-      c.read_only_opt = ro;
-      c.bucket_bits = hm_bucket_bits();
-      return std::make_unique<SetAdapter<ds::IsbHashMap>>(c);
-    };
-  };
-  r.add({"Isb-HashMap", Kind::set,
-         {"detectable", "persistent", "hashmap", "isb-list"},
-         isb_hm(PersistProfile::general, true)});
-  r.add({"Isb-HashMap-Opt", Kind::set,
-         {"detectable", "persistent", "hashmap", "isb-list"},
-         isb_hm(PersistProfile::optimized, true)});
-  r.add({"DT-HashMap", Kind::set,
-         {"detectable", "persistent", "hashmap", "dt", "reclaimer-ebr"},
-         [] {
-           return std::make_unique<SetAdapter<ds::DtHashMap>>(
-               PersistProfile::general, hm_bucket_bits());
-         }});
-  r.add({"Harris-HashMap", Kind::set,
-         {"volatile", "baseline", "hashmap"}, [] {
-           return std::make_unique<SetAdapter<ds::HarrisHashMap>>(
-               hm_bucket_bits());
-         }});
+  register_structure<SetAdapter, IsbHashMap>(
+      "Isb-HashMap", {"detectable", "persistent", "hashmap", "isb-list"},
+      IsbHashMap::Config{kGeneral, true, hm_bucket_bits()});
+  register_structure<SetAdapter, IsbHashMap>(
+      "Isb-HashMap-Opt",
+      {"detectable", "persistent", "hashmap", "isb-list"},
+      IsbHashMap::Config{kOptimized, true, hm_bucket_bits()});
+  register_structure<SetAdapter, ds::DtHashMap>(
+      "DT-HashMap",
+      {"detectable", "persistent", "hashmap", "dt", "reclaimer-ebr"},
+      kGeneral, hm_bucket_bits());
+  register_structure<SetAdapter, ds::HarrisHashMap>(
+      "Harris-HashMap", {"volatile", "baseline", "hashmap"},
+      hm_bucket_bits());
 
   // Reclamation-scheme matrix (ROADMAP item 2): the same structures
   // under hazard pointers and publish-on-ping epochs.  One list, one
   // queue and one hash map per scheme keeps the cross-product useful
   // without doubling every fuzz sweep; trait "reclaimer-<scheme>"
   // selects a column (the EBR bases above carry "reclaimer-ebr").
-  r.add({"Isb-List-HP", Kind::set,
-         {"detectable", "persistent", "isb-list", "reclaimer-hp"}, [] {
-           return std::make_unique<
-               SetAdapter<ds::IsbListT<mem::HpReclaimer>>>();
-         }});
-  r.add({"Isb-List-POP", Kind::set,
-         {"detectable", "persistent", "isb-list", "reclaimer-pop"}, [] {
-           return std::make_unique<
-               SetAdapter<ds::IsbListT<mem::PopReclaimer>>>();
-         }});
-  r.add({"Isb-Queue-HP", Kind::queue,
-         {"detectable", "persistent", "reclaimer-hp"}, [] {
-           return std::make_unique<
-               QueueAdapter<ds::IsbQueueT<mem::HpReclaimer>>>();
-         }});
-  r.add({"Isb-Queue-POP", Kind::queue,
-         {"detectable", "persistent", "reclaimer-pop"}, [] {
-           return std::make_unique<
-               QueueAdapter<ds::IsbQueueT<mem::PopReclaimer>>>();
-         }});
-  r.add({"DT-HashMap-HP", Kind::set,
-         {"detectable", "persistent", "hashmap", "dt", "reclaimer-hp"},
-         [] {
-           return std::make_unique<
-               SetAdapter<ds::DtHashMapT<mem::HpReclaimer>>>(
-               PersistProfile::general, hm_bucket_bits());
-         }});
-  r.add({"DT-HashMap-POP", Kind::set,
-         {"detectable", "persistent", "hashmap", "dt", "reclaimer-pop"},
-         [] {
-           return std::make_unique<
-               SetAdapter<ds::DtHashMapT<mem::PopReclaimer>>>(
-               PersistProfile::general, hm_bucket_bits());
-         }});
+  register_structure<SetAdapter, ds::IsbListT<mem::HpReclaimer>>(
+      "Isb-List-HP",
+      {"detectable", "persistent", "isb-list", "reclaimer-hp"});
+  register_structure<SetAdapter, ds::IsbListT<mem::PopReclaimer>>(
+      "Isb-List-POP",
+      {"detectable", "persistent", "isb-list", "reclaimer-pop"});
+  register_structure<QueueAdapter, ds::IsbQueueT<mem::HpReclaimer>>(
+      "Isb-Queue-HP", {"detectable", "persistent", "reclaimer-hp"});
+  register_structure<QueueAdapter, ds::IsbQueueT<mem::PopReclaimer>>(
+      "Isb-Queue-POP", {"detectable", "persistent", "reclaimer-pop"});
+  register_structure<SetAdapter, ds::DtHashMapT<mem::HpReclaimer>>(
+      "DT-HashMap-HP",
+      {"detectable", "persistent", "hashmap", "dt", "reclaimer-hp"},
+      kGeneral, hm_bucket_bits());
+  register_structure<SetAdapter, ds::DtHashMapT<mem::PopReclaimer>>(
+      "DT-HashMap-POP",
+      {"detectable", "persistent", "hashmap", "dt", "reclaimer-pop"},
+      kGeneral, hm_bucket_bits());
 
   // Queue series (Figure 7): trait "paper-queue".
-  r.add({"Isb-Queue", Kind::queue,
-         {"detectable", "persistent", "paper-queue", "reclaimer-ebr"},
-         [] { return std::make_unique<QueueAdapter<IsbQueue>>(); }});
-  r.add({"Log-Queue", Kind::queue, {"persistent", "paper-queue"},
-         [] { return std::make_unique<QueueAdapter<LogQueue>>(); }});
-  r.add({"Capsules-General", Kind::queue,
-         {"persistent", "paper-queue", "capsules"}, [] {
-           return std::make_unique<QueueAdapter<CapsulesQueue>>(
-               CapsulesQueue::Variant::general);
-         }});
-  r.add({"Capsules-Normal", Kind::queue,
-         {"persistent", "paper-queue", "capsules"}, [] {
-           return std::make_unique<QueueAdapter<CapsulesQueue>>(
-               CapsulesQueue::Variant::normalized);
-         }});
-  r.add({"MS-Queue", Kind::queue, {"volatile", "baseline"},
-         [] { return std::make_unique<QueueAdapter<MsQueue>>(); }});
-  r.add({"MS-Queue-leak", Kind::queue,
-         {"volatile", "baseline", "ablation", "no-reclaim"}, [] {
-           return std::make_unique<QueueAdapter<baselines::MsQueueLeaky>>();
-         }});
+  register_structure<QueueAdapter, ds::IsbQueue>(
+      "Isb-Queue",
+      {"detectable", "persistent", "paper-queue", "reclaimer-ebr"});
+  register_structure<QueueAdapter, baselines::LogQueue>(
+      "Log-Queue", {"persistent", "paper-queue"});
+  register_structure<QueueAdapter, CapsulesQueue>(
+      "Capsules-General", {"persistent", "paper-queue", "capsules"},
+      CapsulesQueue::Variant::general);
+  register_structure<QueueAdapter, CapsulesQueue>(
+      "Capsules-Normal", {"persistent", "paper-queue", "capsules"},
+      CapsulesQueue::Variant::normalized);
+  register_structure<QueueAdapter, baselines::MsQueue>(
+      "MS-Queue", {"volatile", "baseline"});
+  register_structure<QueueAdapter, baselines::MsQueueLeaky>(
+      "MS-Queue-leak", {"volatile", "baseline", "ablation", "no-reclaim"});
 
   // Section 6 structures.
-  r.add({"Bst-Isb", Kind::set, {"detectable", "persistent", "bst"}, [] {
-           return std::make_unique<SetAdapter<IsbBst>>(
-               PersistProfile::general);
-         }});
-  r.add({"Bst-Isb-Opt", Kind::set, {"detectable", "persistent", "bst"},
-         [] {
-           return std::make_unique<SetAdapter<IsbBst>>(
-               PersistProfile::optimized);
-         }});
-  r.add({"DT-SkipList", Kind::set,
-         {"detectable", "persistent", "skiplist"},
-         [] { return std::make_unique<SetAdapter<DtSkipList>>(); }});
-  r.add({"DT-Treiber", Kind::stack, {"detectable", "persistent"}, [] {
-           return std::make_unique<StackAdapter<DtStack>>();
-         }});
-  r.add({"DT-Elimination", Kind::stack,
-         {"detectable", "persistent", "elimination"}, [] {
-           DtStack::Config c;
-           c.elimination = true;
-           return std::make_unique<StackAdapter<DtStack>>(c);
-         }});
-  r.add({"Isb-Exchanger", Kind::exchanger, {"detectable", "persistent"},
-         [] {
-           return std::make_unique<ExchangerAdapter<IsbExchanger>>();
-         }});
+  register_structure<SetAdapter, ds::IsbBst>(
+      "Bst-Isb", {"detectable", "persistent", "bst"}, kGeneral);
+  register_structure<SetAdapter, ds::IsbBst>(
+      "Bst-Isb-Opt", {"detectable", "persistent", "bst"}, kOptimized);
+  register_structure<SetAdapter, ds::DtSkipList>(
+      "DT-SkipList", {"detectable", "persistent", "skiplist"});
+  register_structure<StackAdapter, DtStack>(
+      "DT-Treiber", {"detectable", "persistent"});
+  register_structure<StackAdapter, DtStack>(
+      "DT-Elimination", {"detectable", "persistent", "elimination"},
+      DtStack::Config{true});
+  register_structure<ExchangerAdapter, ds::IsbExchanger>(
+      "Isb-Exchanger", {"detectable", "persistent"});
   return true;
 }
 

@@ -4,7 +4,8 @@
 // processes — the same machinery CI's kill-recovery job runs at scale.
 // Budgets here are small; the point is the harness's own contracts:
 // deterministic {seed, kill_point} replay, idempotent reopen-twice
-// recovery, and zero violations across a randomized batch per family.
+// recovery, zero violations across a randomized batch per structure,
+// and every checked detectable registry entry under real SIGKILLs.
 // The deterministic kill-point sweep, with and without the drop_msync
 // mutant, is the drop_msync row of tests/test_mutants.cpp.  The
 // KillVerifier tests run the verifier alone on hand-built images.
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,6 +26,8 @@ namespace {
 
 namespace kill = repro::harness::kill;
 namespace ds = repro::ds;
+using repro::harness::AlgoEntry;
+using repro::harness::Kind;
 
 std::string test_heap_path(const char* tag) {
   return "/tmp/repro_kill_test." + std::to_string(::getpid()) + "." +
@@ -65,19 +69,20 @@ bool harness_usable(const std::string& path) {
 
 // A queue's durable image as the verifier reads it: the durable values
 // and each slot's recovered descriptor.
-struct FakeQueue {
+struct FakeQueue final : repro::harness::QueueIface {
   std::vector<std::uint64_t> durable;
   std::map<int, ds::Recovered> desc;  // by slot
 
-  bool snapshot_values(std::vector<std::uint64_t>& out) const {
+  bool snapshot_values(std::vector<std::uint64_t>& out) const override {
     out = durable;
     return true;
   }
-  ds::Recovered recover(int slot) const {
+  ds::Recovered recover(int slot) const override {
     const auto it = desc.find(slot);
     return it != desc.end() ? it->second : ds::Recovered{};
   }
-  ds::DequeueResult dequeue() { return {}; }  // makes it a queue
+  void enqueue(std::uint64_t) override {}
+  bool dequeue(std::uint64_t&) override { return false; }
 };
 
 ds::Recovered enqueue_desc(std::uint64_t seq, std::uint64_t v, bool done) {
@@ -102,7 +107,7 @@ TEST(KillVerifier, CommittedDequeueOnALaterLaneConsumedACommittedEnqueue) {
   FakeQueue q;
   q.desc = {{0, enqueue_desc(1, 5, true)}, {1, dequeue_desc(1, 5, true)}};
   std::string what;
-  EXPECT_EQ(kill::detail::verify(&q, two_lanes(), 2, what), 0) << what;
+  EXPECT_EQ(kill::detail::verify(q, Kind::queue, two_lanes(), 2, what), 0) << what;
 }
 
 // A pending dequeue whose head CAS is durable has removed a value too:
@@ -111,7 +116,7 @@ TEST(KillVerifier, PendingDequeueMayHaveConsumedACommittedEnqueue) {
   FakeQueue q;
   q.desc = {{0, enqueue_desc(1, 5, true)}, {1, dequeue_desc(1, 0, false)}};
   std::string what;
-  EXPECT_EQ(kill::detail::verify(&q, two_lanes(), 2, what), 0) << what;
+  EXPECT_EQ(kill::detail::verify(q, Kind::queue, two_lanes(), 2, what), 0) << what;
 }
 
 // ...but not for two: a journaled enqueue's value is lost as well.
@@ -127,7 +132,7 @@ TEST(KillVerifier, PendingDequeueCannotAccountForTwoLostValues) {
   enq.result = 4;
   j.ops[0] = {enq};
   std::string what;
-  EXPECT_GT(kill::detail::verify(&q, j, 2, what), 0);
+  EXPECT_GT(kill::detail::verify(q, Kind::queue, j, 2, what), 0);
   EXPECT_NE(what.find("durably lost"), std::string::npos) << what;
 }
 
@@ -136,7 +141,6 @@ TEST(KillRecovery, CompletedRunVerifiesCleanAndReopenIsIdempotent) {
   SKIP_IF_NO_HARNESS(path);
   kill::KillPlan plan;
   plan.heap_path = path;
-  plan.family = kill::Family::isb_list;
   plan.seed = 0xC1EA7ull;
   plan.ops_budget = 200;
 
@@ -158,7 +162,6 @@ TEST(KillRecovery, DeterministicSeedAndKillPointReplayIdentically) {
   SKIP_IF_NO_HARNESS(path);
   kill::KillPlan plan;
   plan.heap_path = path;
-  plan.family = kill::Family::isb_list;
   plan.seed = 0xD5ull;
   plan.threads = 1;
   plan.ops_budget = 256;
@@ -182,23 +185,40 @@ TEST(KillRecovery, DeterministicSeedAndKillPointReplayIdentically) {
   kill::cleanup_heap_files(plan);
 }
 
-TEST(KillRecovery, RandomizedKillBatchFindsNoViolationsPerFamily) {
+// Every detectable registry entry whose durable image the fuzzers check
+// is killed for real too: the set follows registration, not a list.
+TEST(KillRecovery, EveryCheckedDetectableEntryIsKillTested) {
+  const std::vector<const AlgoEntry*> killed = kill::structures();
+  int checked = 0;
+  for (const AlgoEntry& e :
+       repro::harness::Registry::instance().entries()) {
+    if (!e.has_trait("detectable") || e.has_trait("no-reclaim")) continue;
+    if (!e.make()->has_snapshot()) continue;
+    ++checked;
+    EXPECT_NE(std::find(killed.begin(), killed.end(), &e), killed.end())
+        << e.name << " has a durable walk but is not kill-tested";
+  }
+  EXPECT_EQ(static_cast<int>(killed.size()), checked);
+  EXPECT_GE(checked, 16);
+}
+
+TEST(KillRecovery, RandomizedKillBatchFindsNoViolationsPerStructure) {
   const std::string path = test_heap_path("batch");
   SKIP_IF_NO_HARNESS(path);
-  for (kill::Family f : kill::all_families()) {
+  for (const AlgoEntry* e : kill::structures()) {
     kill::KillPlan plan;
     plan.heap_path = path;
-    plan.family = f;
+    plan.structure = e->name;
     plan.seed = 0xBA7C4ull;
     plan.threads = 2;
     plan.ops_budget = 128;
     const kill::KillReport rep = kill::kill_many(plan, 15);
     EXPECT_EQ(rep.violations, 0)
-        << kill::family_name(f) << ": "
+        << e->name << ": "
         << (rep.failures.empty() ? "" : rep.failures.front().what);
-    EXPECT_LT(rep.infra_skips, rep.trials) << kill::family_name(f);
+    EXPECT_LT(rep.infra_skips, rep.trials) << e->name;
     EXPECT_GT(rep.kills, 0)
-        << kill::family_name(f)
+        << e->name
         << ": no kill landed; the batch tested nothing";
     kill::cleanup_heap_files(plan);
   }
@@ -215,7 +235,6 @@ TEST(KillRecovery, DoubleKillLandsInVerifierAndThirdProcessIsClean) {
   SKIP_IF_NO_HARNESS(path);
   kill::KillPlan plan;
   plan.heap_path = path;
-  plan.family = kill::Family::isb_list;
   plan.seed = 0xD0B1Eull;
   plan.threads = 1;
   plan.ops_budget = 128;
@@ -239,27 +258,27 @@ TEST(KillRecovery, DoubleKillLandsInVerifierAndThirdProcessIsClean) {
   kill::cleanup_heap_files(plan);
 }
 
-TEST(KillRecovery, DoubleKillBatchFindsNoViolationsPerFamily) {
+TEST(KillRecovery, DoubleKillBatchFindsNoViolationsPerStructure) {
   const std::string path = test_heap_path("dblbatch");
   SKIP_IF_NO_HARNESS(path);
-  for (kill::Family f : kill::all_families()) {
+  for (const AlgoEntry* e : kill::structures()) {
     kill::KillPlan plan;
     plan.heap_path = path;
-    plan.family = f;
+    plan.structure = e->name;
     plan.seed = 0xD0B7C4ull;
     plan.threads = 2;
     plan.ops_budget = 128;
     plan.double_kill = true;
     const kill::KillReport rep = kill::kill_many(plan, 10);
     EXPECT_EQ(rep.violations, 0)
-        << kill::family_name(f) << ": "
+        << e->name << ": "
         << (rep.failures.empty() ? "" : rep.failures.front().what);
-    EXPECT_LT(rep.infra_skips, rep.trials) << kill::family_name(f);
+    EXPECT_LT(rep.infra_skips, rep.trials) << e->name;
     // Every non-skipped, non-vacuous trial must kill its verifier —
     // the double-kill scenario is vacuous otherwise.
     EXPECT_EQ(rep.verifier_kills,
               rep.trials - rep.infra_skips - rep.vacuous)
-        << kill::family_name(f);
+        << e->name;
     kill::cleanup_heap_files(plan);
   }
 }
