@@ -303,18 +303,19 @@ struct HarrisOps {
   // durable image, so an ordinary traversal reads durable truth — but
   // a detectability bug can leave a durable link into memory that was
   // never durably initialised, so the walk is defensive: each candidate
-  // node must be a pool cell (mem::SlabDirectory) and the walk shares a
-  // caller-owned step budget capping cycles across *all* of a caller's
-  // segments.  Returns false — a verification failure, not UB — on any
-  // anomaly.  Single-threaded: call with no concurrent mutators.
+  // node must be a pool cell of `slabs` (the caller's view of
+  // mem::SlabDirectory) and at most max_steps nodes are visited, which
+  // caps cycles.  Returns false — a verification failure, not UB — on
+  // any anomaly.  Single-threaded: call with no concurrent mutators.
   static bool durable_segment(Node* head, Node* tail,
                               std::vector<std::int64_t>& out,
-                              std::size_t& steps,
+                              const mem::SlabDirectory::Table& slabs,
                               std::size_t max_steps) {
     Node* c = unmark(head->next.load());
+    std::size_t steps = 0;
     while (c != tail) {
       if (++steps > max_steps) return false;  // cycle / runaway chain
-      if (!mem::SlabDirectory::instance().owns(c)) return false;
+      if (!slabs.owns(c)) return false;
       Node* nx = c->next.load();
       if (!is_marked(nx)) out.push_back(c->key);
       c = unmark(nx);
@@ -388,8 +389,9 @@ class HarrisListCore {
   bool durable_keys(std::vector<std::int64_t>& out,
                     std::size_t max_steps = 1u << 20) const {
     out.clear();
-    std::size_t steps = 0;
-    return Ops::durable_segment(head_, tail_, out, steps, max_steps);
+    return Ops::durable_segment(head_, tail_, out,
+                                *mem::SlabDirectory::instance().view(),
+                                max_steps);
   }
 
   // Unmarked-node count; only meaningful while no other thread mutates.

@@ -237,7 +237,8 @@ class HmHashMapCore {
     const std::size_t n = size_.load(std::memory_order_acquire);
     if (!std::has_single_bit(n) || n > kMaxBuckets) return false;
     const int bits = std::countr_zero(n);
-    const auto& slabs = mem::SlabDirectory::instance();
+    const auto view = mem::SlabDirectory::instance().view();
+    const mem::SlabDirectory::Table& slabs = *view;
 
     // First split position in [p, end) holding a published dummy
     // (bucket = position reversed in `bits` bits), stored in `d`; `end`

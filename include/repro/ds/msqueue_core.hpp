@@ -193,13 +193,14 @@ class MsQueueCore {
   bool durable_values(std::vector<std::uint64_t>& out,
                       std::size_t max_steps = 1u << 20) const {
     out.clear();
+    const auto slabs = mem::SlabDirectory::instance().view();
     Node* dummy = head_.load();
-    if (!mem::SlabDirectory::instance().owns(dummy)) return false;
+    if (!slabs->owns(dummy)) return false;
     Node* c = dummy->next.load();
     std::size_t steps = 0;
     while (c != nullptr) {
       if (++steps > max_steps) return false;  // cycle / runaway chain
-      if (!mem::SlabDirectory::instance().owns(c)) return false;
+      if (!slabs->owns(c)) return false;
       out.push_back(c->value.load());
       c = c->next.load();
     }

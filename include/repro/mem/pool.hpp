@@ -33,6 +33,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -212,13 +213,11 @@ inline void set_slab_source(void* (*fn)(std::size_t)) {
 // about to dereference against it: after a simulated crash a rewound
 // link may target memory that was never durably initialised, and
 // "some pool's cell" is the strongest claim such a pointer can still
-// honour.  Registration is once per 64 KiB slab (cold path); owns() is
-// only called while verifying a crash, never on an operation's hot
-// path.
+// honour.
 //
 // Each range records its cell alignment: a pool registers its slabs
 // with its cell size (16, 32 or 64 bytes; 64 for the line-multiple
-// cells of larger nodes), and owns() accepts only addresses on that
+// cells of larger nodes), and a check accepts only addresses on that
 // grid — for dense cells an exact cell-start check.  Slabs need not be
 // malloc'd: ranges carved from a mapped persistent heap register
 // through the same add().  A *recovered* process never saw the killed
@@ -228,25 +227,127 @@ inline void set_slab_source(void* (*fn)(std::size_t)) {
 // durable walk after a real kill would reject the very first mapped
 // node it reached.
 //
-// Ranges are kept per alignment, each list sorted by base with
-// adjacent/overlapping extents coalesced: consecutive slabs carved from
-// a mapped arena (or a lucky allocator run) collapse into one range,
-// and owns() binary-searches: nightly 50k-point fuzz runs register
-// thousands of slabs and every durable-walk pointer check pays one
-// lookup.  Ranges of different alignments never
-// coalesce.  Every registered base is line-aligned and every alignment
-// divides a line, so touching ranges of one alignment share one grid.
+// Two paths.  add() is the cold one, once per 64 KiB slab: under the
+// mutex it keeps the ranges per alignment, each list sorted by base
+// with touching/overlapping extents coalesced (consecutive slabs of a
+// mapped arena collapse into one range; ranges of different alignments
+// never coalesce), and bumps a generation.  view() hands out an
+// immutable Table of those ranges, rebuilt under the mutex only when
+// the generation moved since the last build (so once per registration,
+// not once per walk), and a Table answers owns() with no lock: one hash
+// probe, a bounds test and a mask.  A durable walk takes one view and
+// checks every node through it, so a walk of a million nodes costs one
+// mutex acquisition, not a million.  Checks run only while verifying a
+// crash image, never on an operation's hot path.
+//
+// The table is keyed by 64 KiB address window (addr >> 16), each
+// window listing the few ranges that touch it, rather than by slab:
+// slab bases are only line-aligned (operator new with kCacheLine
+// alignment, MmapHeap::carve_slab's 64-byte bump), so one slab may
+// straddle two windows and no window boundary names a slab.  Every
+// registered base is line-aligned and every alignment is a power of
+// two dividing a line, so a grid check is a mask and touching ranges
+// of one alignment share one grid.
 class SlabDirectory {
+  struct Range {
+    std::uintptr_t lo, hi;
+  };
+  struct Grid {
+    std::size_t align;
+    std::vector<Range> ranges;  // sorted by lo, coalesced
+  };
+
  public:
   static SlabDirectory& instance() {
     static SlabDirectory d;
     return d;
   }
 
+  // An empty directory; pools all register with instance().
+  SlabDirectory() = default;
+
+  // Read-only snapshot of the directory's ranges at one view() call.
+  class Table {
+   public:
+    // Whether p is a cell start inside some range: inside it and on
+    // its alignment grid.
+    bool owns(const void* p) const {
+      const auto a = reinterpret_cast<std::uintptr_t>(p);
+      const std::uintptr_t key = a >> kWindowBits;
+      for (std::size_t i = (key * kHashMul) >> shift_;;
+           i = (i + 1) & (windows_.size() - 1)) {
+        const Window& w = windows_[i];
+        if (w.key == key) {
+          const Span* s = spans_.data() + w.first;
+          for (const Span* end = s + w.count; s != end; ++s) {
+            const std::uintptr_t off = a - s->lo;
+            if (off < s->bytes && (off & s->mask) == 0) return true;
+          }
+          return false;
+        }
+        if (w.key == kNoWindow) return false;
+      }
+    }
+
+   private:
+    friend class SlabDirectory;
+    static constexpr int kWindowBits = 16;
+    static constexpr std::uintptr_t kNoWindow = ~std::uintptr_t{0};
+    static constexpr std::uintptr_t kHashMul = 0x9E3779B97F4A7C15ull;
+    struct Window {
+      std::uintptr_t key = kNoWindow;  // addr >> kWindowBits
+      std::uint32_t first = 0, count = 0;  // its slice of spans_
+    };
+    struct Span {
+      std::uintptr_t lo, bytes, mask;  // one range; mask = align - 1
+    };
+
+    // Windows sit in an open-addressed table at most half full
+    // (Fibonacci hash, linear probing); each lists, as a slice of
+    // spans_, every range that touches it.
+    explicit Table(const std::vector<Grid>& grids) {
+      std::vector<std::pair<std::uintptr_t, Span>> touch;  // (window, range)
+      for (const Grid& g : grids) {
+        for (const Range& r : g.ranges) {
+          for (std::uintptr_t k = r.lo >> kWindowBits;
+               k <= (r.hi - 1) >> kWindowBits; ++k) {
+            touch.push_back({k, {r.lo, r.hi - r.lo, g.align - 1}});
+          }
+        }
+      }
+      std::sort(touch.begin(), touch.end(), [](const auto& x, const auto& y) {
+        return x.first < y.first;
+      });
+      const std::size_t slots =
+          std::bit_ceil(std::max<std::size_t>(2 * touch.size(), 2));
+      windows_.resize(slots);
+      shift_ = 64 - std::countr_zero(slots);
+      spans_.reserve(touch.size());
+      for (std::size_t i = 0; i < touch.size();) {
+        const std::uintptr_t key = touch[i].first;
+        std::size_t s = (key * kHashMul) >> shift_;
+        while (windows_[s].key != kNoWindow) s = (s + 1) & (slots - 1);
+        windows_[s] = {key, static_cast<std::uint32_t>(spans_.size()), 0};
+        for (; i < touch.size() && touch[i].first == key; ++i) {
+          spans_.push_back(touch[i].second);
+          ++windows_[s].count;
+        }
+      }
+    }
+
+    std::vector<Window> windows_;
+    std::vector<Span> spans_;
+    int shift_;  // 64 - log2(windows_.size()), set by the constructor
+  };
+
+  // Register [base, base + bytes) as cells on an `align` grid (a power
+  // of two no larger than a line).
   void add(const void* base, std::size_t bytes,
            std::size_t align = kCacheLine) {
     const auto lo = reinterpret_cast<std::uintptr_t>(base);
     const auto hi = lo + bytes;
+    assert(std::has_single_bit(align) && align <= kCacheLine);
+    if (bytes == 0) return;
     std::lock_guard<std::mutex> lock(mu_);
     auto grid = std::find_if(grids_.begin(), grids_.end(),
                              [&](const Grid& g) { return g.align == align; });
@@ -268,23 +369,23 @@ class SlabDirectory {
       if (next->hi > it->hi) it->hi = next->hi;
       next = ranges.erase(next);
     }
+    ++generation_;  // the next view() rebuilds the table
   }
 
-  // Whether p is a cell start inside some registered slab: inside a
-  // range and on that range's alignment grid.
-  bool owns(const void* p) const {
-    const auto a = reinterpret_cast<std::uintptr_t>(p);
+  // The table of every range added so far.  It stays valid (and
+  // unchanged) for as long as the caller holds it; ranges added later
+  // show up in the next view.
+  std::shared_ptr<const Table> view() const {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const Grid& g : grids_) {
-      auto it = std::upper_bound(
-          g.ranges.begin(), g.ranges.end(), a,
-          [](std::uintptr_t v, const Range& r) { return v < r.lo; });
-      if (it == g.ranges.begin()) continue;
-      --it;  // it->lo <= a by the search
-      if (a < it->hi && (a - it->lo) % g.align == 0) return true;
+    if (table_generation_ != generation_) {
+      table_.reset(new Table(grids_));
+      table_generation_ = generation_;
     }
-    return false;
+    return table_;
   }
+
+  // One-off check; a walk should check its nodes through one view().
+  bool owns(const void* p) const { return view()->owns(p); }
 
   // Coalesced extent count; the adjacency-merge unit test pins it.
   std::size_t range_count() const {
@@ -298,16 +399,12 @@ class SlabDirectory {
   SlabDirectory& operator=(const SlabDirectory&) = delete;
 
  private:
-  struct Range {
-    std::uintptr_t lo, hi;
-  };
-  struct Grid {
-    std::size_t align;
-    std::vector<Range> ranges;  // sorted by lo, coalesced
-  };
-  SlabDirectory() = default;
   mutable std::mutex mu_;
   std::vector<Grid> grids_;  // one per registered alignment
+  std::uint64_t generation_ = 1;  // bumped by every add() that changes grids_
+  // Table of grids_ as of generation table_generation_.
+  mutable std::shared_ptr<const Table> table_;
+  mutable std::uint64_t table_generation_ = 0;
 };
 
 template <typename T>

@@ -3,8 +3,11 @@
 // correctness under both a deterministic pin and a concurrent
 // retire/reuse stress (canary values catch premature reclamation;
 // TSan/ASan catch it as a race/use-after-free), the bounded-RSS
-// property an update-only churn must keep, pwb coalescing windows, and
-// recover() safety on descriptors whose nodes were pool-recycled.
+// property an update-only churn must keep, pwb coalescing windows, the
+// slab directory's ownership table (against a linear scan, and under
+// concurrent registration), the queue, list and map durable walks
+// refusing links outside the pool, and recover() safety on descriptors
+// whose nodes were pool-recycled.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,12 +17,16 @@
 #include <random>
 #include <set>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "repro/ds/detectable.hpp"
 #include "repro/ds/harris_core.hpp"
+#include "repro/ds/hm_hashtable.hpp"
 #include "repro/ds/msqueue_core.hpp"
 #include "repro/ds/isb_list.hpp"
+#include "repro/ds/isb_queue.hpp"
 #include "repro/harness/runner.hpp"
 #include "repro/harness/workload.hpp"
 #include "repro/mem/ebr.hpp"
@@ -443,8 +450,8 @@ TEST(Coalescing, OverflowFallsBackToImmediateAndToggleDisables) {
 
 // The directory keeps extents sorted and coalesced: registering the
 // slab after an existing one must merge, not append — nightly fuzz
-// runs register thousands of slabs and every durable-walk pointer
-// check pays one owns() lookup.
+// runs register thousands of slabs, and fewer extents keep the
+// ownership table that view() rebuilds after each registration small.
 TEST(Pool, SlabDirectoryCoalescesAdjacentExtents) {
   auto& dir = repro::mem::SlabDirectory::instance();
   alignas(64) static char arena[64 * 8];
@@ -482,6 +489,102 @@ TEST(Pool, SlabDirectoryCoalescesAdjacentExtents) {
   EXPECT_FALSE(dir.owns(arena + 320 + 8));
   EXPECT_FALSE(dir.owns(arena + 16));  // the 64-grid rejects it
   EXPECT_FALSE(dir.owns(arena + 448));
+}
+
+// The ownership table against a linear scan of every registration:
+// 16/32/64-byte grids, ranges straddling a 64 KiB window, a
+// many-window 16-grid extent like MmapHeap::attach's wholesale one,
+// and overlapping ranges of different grids, with adds and checks
+// interleaved so every check after an add reads a rebuilt table.  The
+// addresses are synthetic — a directory never dereferences what it
+// checks — and every base is line-aligned, as every slab base is, so
+// touching ranges of one grid coalesce onto the grid the scan checks.
+TEST(SlabDirectory, TableAgreesWithALinearScanOfTheRanges) {
+  struct Reg {
+    std::uintptr_t lo, hi, align;
+  };
+  constexpr std::uintptr_t kWindow = std::uintptr_t{1} << 16;
+  constexpr std::uintptr_t kBase = std::uintptr_t{0x5a5a} << 32;
+  repro::mem::SlabDirectory dir;
+  std::vector<Reg> regs;
+  const auto scan = [&](std::uintptr_t a) {
+    return std::any_of(regs.begin(), regs.end(), [&](const Reg& r) {
+      return a >= r.lo && a < r.hi && (a - r.lo) % r.align == 0;
+    });
+  };
+  const auto check = [&](std::uintptr_t a) {
+    EXPECT_EQ(dir.owns(reinterpret_cast<const void*>(a)), scan(a))
+        << std::hex << "address 0x" << a;
+  };
+  // Each range's ends, one cell past them on every grid, and off-grid.
+  const auto check_edges = [&](const Reg& r) {
+    for (std::uintptr_t g : {16, 32, 64}) {
+      for (std::uintptr_t a : {r.lo, r.lo - g, r.lo + g, r.hi - g, r.hi}) {
+        check(a);
+      }
+    }
+    check(r.lo + 8);
+    check(r.hi - 8);
+  };
+  const auto add = [&](std::uintptr_t lo, std::uintptr_t bytes,
+                       std::uintptr_t align) {
+    dir.add(reinterpret_cast<const void*>(lo), bytes, align);
+    regs.push_back({lo, lo + bytes, align});
+    check_edges(regs.back());
+  };
+
+  add(kBase + 3 * kWindow + 5 * 64, 40 * kWindow + 7 * 64, 16);  // attach
+  add(kBase + 8 * kWindow - 64, 128, 64);        // straddles, overlaps
+  add(kBase + 50 * kWindow - 4096, 8192, 32);    // straddles alone
+  std::mt19937_64 rng(25);
+  const auto below = [&](std::uint64_t n) { return rng() % n; };
+  for (int i = 0; i < 150; ++i) {
+    const std::uintptr_t align = std::uintptr_t{16} << below(3);
+    add(kBase + 64 * below(64 * kWindow / 64), 64 * (1 + below(2048)), align);
+    for (int j = 0; j < 100; ++j) check(kBase + 8 * below(66 * kWindow / 8));
+  }
+  for (const Reg& r : regs) check_edges(r);
+}
+
+// A view stays valid and unchanged while another thread keeps
+// registering ranges, and every view answers for the ranges added
+// before it.  The TSan leg runs this: the view's table is read with no
+// lock, so a rebuild must never write to a table a reader holds.
+TEST(SlabDirectory, ViewsStayRaceFreeWhileRangesAreAdded) {
+  constexpr std::uintptr_t kWindow = std::uintptr_t{1} << 16;
+  constexpr std::uintptr_t kBase = std::uintptr_t{0x6b6b} << 32;
+  const auto at = [](std::uintptr_t a) {
+    return reinterpret_cast<const void*>(a);
+  };
+  repro::mem::SlabDirectory dir;
+  dir.add(at(kBase), 4 * kWindow, 16);
+  const auto first = dir.view();
+  constexpr int kAdds = 1000;
+  const auto added = [&](int i) { return at(kBase + 2 * i * kWindow + 64); };
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 1; i <= kAdds; ++i) {
+      dir.add(added(i), 4096, i % 2 ? 16 : 64);
+      std::this_thread::yield();
+    }
+    done.store(true, std::memory_order_release);
+  });
+  int views = 0, wrong = 0;
+  while (!done.load(std::memory_order_acquire) || views == 0) {
+    const auto v = dir.view();
+    for (std::uintptr_t off = 0; off < 4 * kWindow; off += 1024) {
+      if (!v->owns(at(kBase + off)) || v->owns(at(kBase + off + 8))) ++wrong;
+    }
+    if (!dir.owns(at(kBase + 4 * kWindow - 16))) ++wrong;
+    ++views;
+  }
+  writer.join();
+  EXPECT_EQ(wrong, 0) << "over " << views << " views";
+  const auto v = dir.view();
+  for (int i = 1; i <= kAdds; ++i) {
+    EXPECT_TRUE(v->owns(added(i))) << "add " << i;
+  }
+  EXPECT_FALSE(first->owns(added(kAdds)));  // a view never changes
 }
 
 // Nodes of up to one line get dense power-of-two cells.
@@ -748,6 +851,126 @@ TEST(Reclaimers, PauseFreezesEverySchemeUntilResume) {
   EpochDomain::instance().resume_reclaim();
   resumed.store(true, std::memory_order_release);
   for (auto& w : ws) w.join();
+}
+
+// EBR that remembers every `Node` it creates, so a test can reach into
+// a structure's chain.
+template <typename Node>
+struct RecordingReclaimer : EbrReclaimer {
+  static inline std::vector<Node*> created;
+  template <typename T, typename... Args>
+  static T* create(Args&&... args) {
+    T* p = EbrReclaimer::create<T>(std::forward<Args>(args)...);
+    if constexpr (std::is_same_v<T, Node>) created.push_back(p);
+    return p;
+  }
+};
+
+// Splices `from->next` to a copy of its successor on the stack (a
+// plausible node no pool owns) and to the successor's cell + 8 (pool
+// memory off the cell grid): the walk must refuse both — with the
+// ownership check gone the stack copy would pass — and accept the
+// chain again once the link is restored.
+template <typename Node, typename Walk>
+void expect_walk_rejects_foreign_links(Node* from, Node fake, Walk walk) {
+  Node* const succ = from->next.load();
+  ASSERT_TRUE(walk());
+  from->next.store(&fake);
+  EXPECT_FALSE(walk()) << "a link to a stack node";
+  from->next.store(reinterpret_cast<Node*>(
+      reinterpret_cast<std::byte*>(succ) + 8));
+  EXPECT_FALSE(walk()) << "a link off the cell grid";
+  from->next.store(succ);
+  EXPECT_TRUE(walk());
+}
+
+TEST(DurableWalk, QueueRejectsLinksOutsideThePool) {
+  using Rec = RecordingReclaimer<repro::ds::QueueNode>;
+  repro::pmem::ModeGuard guard(repro::pmem::Mode::count_only);
+  Rec::created.clear();
+  repro::ds::IsbQueueT<Rec> q;
+  for (std::uint64_t v = 1; v <= 3; ++v) q.enqueue(v);
+  ASSERT_EQ(Rec::created.size(), 4u);  // the dummy, then 1, 2, 3
+  repro::ds::QueueNode* two = Rec::created[2];
+  repro::ds::QueueNode* three = two->next.load();
+  ASSERT_EQ(three, Rec::created[3]);
+  std::vector<std::uint64_t> out;
+  expect_walk_rejects_foreign_links(
+      two, repro::ds::QueueNode(three->value.load(), three->next.load()),
+      [&] { return q.snapshot_values(out); });
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+TEST(DurableWalk, ListRejectsLinksOutsideThePool) {
+  using Rec = RecordingReclaimer<repro::ds::ListNode>;
+  repro::pmem::ModeGuard guard(repro::pmem::Mode::count_only);
+  Rec::created.clear();
+  repro::ds::IsbListT<Rec> list;
+  for (std::int64_t k : {10, 20, 30}) ASSERT_TRUE(list.insert(k));
+  const auto ten = std::find_if(
+      Rec::created.begin(), Rec::created.end(),
+      [](const repro::ds::ListNode* n) { return n->key == 10; });
+  ASSERT_NE(ten, Rec::created.end());
+  repro::ds::ListNode* twenty = (*ten)->next.load();
+  ASSERT_EQ(twenty->key, 20);
+  std::vector<std::int64_t> out;
+  expect_walk_rejects_foreign_links(
+      *ten, repro::ds::ListNode(twenty->key, twenty->next.load()),
+      [&] { return list.snapshot_keys(out); });
+  EXPECT_EQ(out, (std::vector<std::int64_t>{10, 20, 30}));
+}
+
+TEST(DurableWalk, SplitOrderedMapRejectsLinksOutsideThePool) {
+  using Rec = RecordingReclaimer<repro::ds::ListNode>;
+  using repro::ds::SplitOrder;
+  repro::pmem::ModeGuard guard(repro::pmem::Mode::count_only);
+  Rec::created.clear();
+  repro::ds::IsbHashMapT<Rec>::Config c;
+  c.bucket_bits = 2;
+  repro::ds::IsbHashMapT<Rec> map(c);
+  for (std::int64_t k = 1; k <= 40; ++k) ASSERT_TRUE(map.insert(k));
+  // A key node whose successor is a key node too, so the stack copy
+  // stands where no published dummy is due.
+  const auto from = std::find_if(
+      Rec::created.begin(), Rec::created.end(),
+      [](const repro::ds::ListNode* n) {
+        const repro::ds::ListNode* s = n->next.load();
+        return !SplitOrder::is_dummy(n->key) && s != nullptr &&
+               !SplitOrder::is_dummy(s->key) && s->next.load() != nullptr;
+      });
+  ASSERT_NE(from, Rec::created.end());
+  repro::ds::ListNode* succ = (*from)->next.load();
+  std::vector<std::int64_t> out;
+  expect_walk_rejects_foreign_links(
+      *from, repro::ds::ListNode(succ->key, succ->next.load()),
+      [&] { return map.snapshot_keys(out); });
+  std::sort(out.begin(), out.end());
+  ASSERT_EQ(out.size(), 40u);
+  EXPECT_EQ(out.front(), 1);
+  EXPECT_EQ(out.back(), 40);
+}
+
+// Each walk takes a fresh view: a node in a slab registered after an
+// earlier walk's view is accepted by the next walk, which a table
+// kept across registrations would reject.
+TEST(DurableWalk, AcceptsANodeInASlabRegisteredAfterAnEarlierView) {
+  using Rec = RecordingReclaimer<repro::ds::QueueNode>;
+  repro::pmem::ModeGuard guard(repro::pmem::Mode::count_only);
+  Rec::created.clear();
+  repro::ds::IsbQueueT<Rec> q;
+  auto& dir = repro::mem::SlabDirectory::instance();
+  std::vector<std::uint64_t> out;
+  ASSERT_TRUE(q.snapshot_values(out));
+  const auto before = dir.view();
+  auto& pool = NodePool<repro::ds::QueueNode>::instance();
+  const std::size_t slabs0 = pool.slab_count();
+  std::uint64_t n = 0;
+  while (pool.slab_count() == slabs0) q.enqueue(++n);
+  const repro::ds::QueueNode* fresh = Rec::created.back();  // the new slab's
+  EXPECT_FALSE(before->owns(fresh));
+  ASSERT_TRUE(q.snapshot_values(out));
+  EXPECT_EQ(out.size(), n);
+  EXPECT_EQ(out.back(), n);
 }
 
 // Satellite: recover() reads the announcement board, which is never
